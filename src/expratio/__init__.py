@@ -23,9 +23,10 @@ from .params import (
     SignedLogValue,
 )
 from .evaluate import (
-    EvalOptions,
     eval_F,
+    eval_F_grid,
     eval_G,
+    eval_G_grid,
     eval_H,
     eval_H_grid,
     eval_H_signed_log,
@@ -82,12 +83,13 @@ __all__ = [
     "QParams",
     "QReduction",
     "SignedLogValue",
-    "EvalOptions",
     "eval_G",
     "eval_F",
     "eval_Q",
     "eval_H",
     "eval_P",
+    "eval_G_grid",
+    "eval_F_grid",
     "eval_H_grid",
     "eval_Q_grid",
     "eval_P_grid",

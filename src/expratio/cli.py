@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -44,11 +43,11 @@ def _make_params(func: str, values: list[float]):
 
 
 _EVALUATORS = {
-    "G": ev.eval_G,
-    "F": ev.eval_F,
-    "Q": ev.eval_Q,
-    "H": ev.eval_H,
-    "P": ev.eval_P,
+    "G": ev.eval_G_grid,
+    "F": ev.eval_F_grid,
+    "Q": ev.eval_Q_grid,
+    "H": ev.eval_H_grid,
+    "P": ev.eval_P_grid,
 }
 
 
@@ -72,7 +71,7 @@ def cmd_eval(args) -> int:
     params = _make_params(args.function, args.params)
     fn = _EVALUATORS[args.function]
     ts = _t_values(args)
-    rows = [(float(t), fn(params, float(t))) for t in ts]
+    rows = list(zip(ts.tolist(), fn(params, ts).tolist()))
     machine = args.format in ("csv", "json")
     if args.format == "json":
         doc = {

@@ -1,8 +1,10 @@
 """Evaluators for the ratio family and the closed-form log-derivatives.
 
-Scalar entry points live here; grid evaluation is delegated to the kernel
-backend (compiled if available).  The log-derivative closed forms are built
-on the auxiliary function
+Every evaluator works on arrays of t: H, Q and P through the kernel backend
+(compiled if available), G and F on the log-domain helpers of the NumPy
+kernel.  The scalar entry points are one-point calls of the grid
+evaluators, so scalar and grid values agree point for point.  The
+log-derivative closed forms are built on the auxiliary function
 
     psi(x) = 1/(1 - e^{-x}) - 1/x
 
@@ -20,21 +22,21 @@ regular at t = 0 once psi is evaluated by series near the origin.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels_py
 from ._backend import kernels
 from .params import GFParams, HParams, ParameterError, PParams, QParams, QReduction, SignedLogValue
 
 __all__ = [
-    "EvalOptions",
     "eval_G",
     "eval_F",
     "eval_Q",
     "eval_H",
     "eval_P",
+    "eval_G_grid",
+    "eval_F_grid",
     "eval_H_grid",
     "eval_Q_grid",
     "eval_P_grid",
@@ -44,26 +46,7 @@ __all__ = [
     "reduce_H_to_Q",
 ]
 
-
-@dataclass(frozen=True)
-class EvalOptions:
-    """Evaluation knobs.
-
-    taylor_threshold = 0 means the evaluators always use the factorized
-    expm1/signed-log path, which is uniformly accurate; the knob exists so
-    callers can force a series branch if they ever need bit-stable output
-    near 0.  rel_tol is the accuracy target the evaluators are designed to,
-    used by consumers when comparing routes.
-    """
-
-    taylor_threshold: float = 0.0
-    rel_tol: float = 1e-12
-
-    def __post_init__(self):
-        if not (self.taylor_threshold >= 0.0):
-            raise ParameterError("EvalOptions: taylor_threshold must be >= 0")
-        if not (0.0 < self.rel_tol < 1.0):
-            raise ParameterError("EvalOptions: rel_tol must be in (0, 1)")
+_TINY = np.finfo(np.float64).tiny
 
 
 def _check_t(t: float) -> float:
@@ -73,137 +56,107 @@ def _check_t(t: float) -> float:
     return t
 
 
-# ---------------------------------------------------------------------------
-# scalar helpers (twins of the kernel internals, math-module based)
-
-def _log_sinhc(y: float) -> float:
-    y2 = y * y
-    w = y2 * (
-        1.0 / 6.0
-        + y2
-        * (
-            1.0 / 120.0
-            + y2
-            * (
-                1.0 / 5040.0
-                + y2 * (1.0 / 362880.0 + y2 * (1.0 / 39916800.0 + y2 / 6227020800.0))
-            )
-        )
-    )
-    return math.log1p(w)
-
-
-def _log1mexp(v: float) -> float:
-    # ln(1 - e^{-v}), v > 0
-    if v < 0.6931471805599453:
-        return math.log(-math.expm1(-v))
-    return math.log1p(-math.exp(-v))
-
-
-def _ln_abs_expm1(x: float) -> float:
-    ax = abs(x)
-    if ax < 1.0:
-        if ax == 0.0:
-            return -math.inf
-        return math.log(ax) + 0.5 * x + _log_sinhc(0.5 * ax)
-    if x > 0.0:
-        return x + _log1mexp(x)
-    return _log1mexp(ax)
-
-
-def _saturating_exp(sign: float, log_mag: float) -> float:
-    if log_mag > 709.0:
-        return sign * math.inf
-    return sign * math.exp(log_mag)
+def _check_grid(t) -> np.ndarray:
+    t = np.asarray(t, dtype=np.float64)
+    if not np.all(np.isfinite(t)):
+        raise ParameterError("t values must be finite")
+    return t
 
 
 # ---------------------------------------------------------------------------
-# evaluators
+# grid evaluators
 
-def eval_G(params: GFParams, t: float, options: EvalOptions | None = None) -> float:
-    """(b^t - a^t) / t, continued by ln b - ln a at t = 0."""
+def eval_G_grid(params: GFParams, t) -> np.ndarray:
+    """(b^t - a^t) / t over an array of t values, continued by ln b - ln a
+    at t = 0."""
     params.require_g()
-    t = _check_t(t)
+    t = _check_grid(t)
     la = math.log(params.a)
-    lb = math.log(params.b)
-    x = t * (lb - la)
-    # t == 0, or so small that x is subnormal and has lost precision: limit
-    if abs(x) < sys.float_info.min:
-        return lb - la
-    if abs(t * la) < 690.0 and abs(x) < 690.0:
-        return math.exp(t * la) * math.expm1(x) / t
-    return _saturating_exp(1.0, t * la + _ln_abs_expm1(x) - math.log(abs(t)))
+    d = math.log(params.b) - la
+    x = d * t
+    # G = a^t (e^x - 1) / t, positive for every t
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = np.exp(la * t + _kernels_py._ln_abs_expm1(x) - np.log(np.abs(t)))
+    # t == 0, or x subnormal: the limit, as in eval_h
+    return np.where(np.abs(x) < _TINY, d, out)
 
 
-def eval_F(params: GFParams, t: float, options: EvalOptions | None = None) -> float:
-    """t / (e^{bt} - e^{at}), continued by 1/(b - a) at t = 0."""
-    t = _check_t(t)
-    a, b = params.a, params.b
-    d = b - a
-    if abs(d * t) < sys.float_info.min:
-        return 1.0 / (b - a)
-    if abs(a * t) < 690.0 and abs(d * t) < 690.0:
-        return t * math.exp(-a * t) / math.expm1(d * t)
+def eval_F_grid(params: GFParams, t) -> np.ndarray:
+    """t / (e^{bt} - e^{at}) over an array of t values, continued by
+    1/(b - a) at t = 0."""
+    t = _check_grid(t)
+    a = params.a
+    d = params.b - a
+    x = d * t
+    # F = t e^{-at} / (e^x - 1), which has the sign of d
     sign = 1.0 if d > 0.0 else -1.0
-    return _saturating_exp(sign, math.log(abs(t)) - a * t - _ln_abs_expm1(d * t))
-
-
-def eval_Q(params: QParams, t: float, options: EvalOptions | None = None) -> float:
-    """(e^{-alpha t} - e^{-beta t}) / (1 - e^{-t}), continued by beta - alpha."""
-    t = _check_t(t)
-    hp = params.h_params()
-    return float(kernels.eval_h(hp.alpha, hp.beta, hp.lam, hp.mu, np.array([t]))[0])
-
-
-def eval_H(params: HParams, t: float, options: EvalOptions | None = None) -> float:
-    """(e^{alpha t} - e^{beta t}) / (e^{lambda t} - e^{mu t}).
-
-    At t = 0 returns the continuity limit (alpha - beta)/(lambda - mu).
-    Saturates to +-inf / 0 instead of overflowing.
-    """
-    t = _check_t(t)
-    if t == 0.0:
-        return (params.alpha - params.beta) / (params.lam - params.mu)
-    return float(kernels.eval_h(params.alpha, params.beta, params.lam, params.mu, np.array([t]))[0])
-
-
-def eval_P(params: PParams, t: float, options: EvalOptions | None = None) -> float:
-    """(r^t - s^t) / (u^t - v^t), continued by (ln r - ln s)/(ln u - ln v)."""
-    return eval_H(params.log_params(), t, options)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = sign * np.exp(np.log(np.abs(t)) - a * t - _kernels_py._ln_abs_expm1(x))
+    return np.where(np.abs(x) < _TINY, 1.0 / d, out)
 
 
 def eval_H_grid(params: HParams, t) -> np.ndarray:
-    """Vectorized eval_H over an array of t values."""
-    t = np.asarray(t, dtype=np.float64)
-    if not np.all(np.isfinite(t)):
-        raise ParameterError("t grid must be finite")
+    """(e^{alpha t} - e^{beta t}) / (e^{lambda t} - e^{mu t}) over an array
+    of t values, continued by (alpha - beta)/(lambda - mu) at t = 0."""
+    t = _check_grid(t)
     return np.asarray(kernels.eval_h(params.alpha, params.beta, params.lam, params.mu, t))
 
 
 def eval_Q_grid(params: QParams, t) -> np.ndarray:
+    """(e^{-alpha t} - e^{-beta t}) / (1 - e^{-t}), continued by beta - alpha."""
     return eval_H_grid(params.h_params(), t)
 
 
 def eval_P_grid(params: PParams, t) -> np.ndarray:
+    """(r^t - s^t) / (u^t - v^t), continued by (ln r - ln s)/(ln u - ln v)."""
     return eval_H_grid(params.log_params(), t)
 
 
 def log_abs_H_grid(params: HParams, t) -> np.ndarray:
     """ln|H(t)| over an array of t values (overflow-free)."""
-    t = np.asarray(t, dtype=np.float64)
-    if not np.all(np.isfinite(t)):
-        raise ParameterError("t grid must be finite")
+    t = _check_grid(t)
     return np.asarray(kernels.log_abs_h(params.alpha, params.beta, params.lam, params.mu, t))
+
+
+# ---------------------------------------------------------------------------
+# scalar evaluators: one-point grid calls.  Each pays the array overhead
+# (tens of µs), so many points belong in one grid call.
+
+def _at(grid_fn, params, t: float) -> float:
+    return float(grid_fn(params, [float(t)])[0])
+
+
+def eval_G(params: GFParams, t: float) -> float:
+    """G at one t; see eval_G_grid."""
+    return _at(eval_G_grid, params, t)
+
+
+def eval_F(params: GFParams, t: float) -> float:
+    """F at one t; see eval_F_grid."""
+    return _at(eval_F_grid, params, t)
+
+
+def eval_Q(params: QParams, t: float) -> float:
+    """Q at one t; see eval_Q_grid."""
+    return _at(eval_Q_grid, params, t)
+
+
+def eval_H(params: HParams, t: float) -> float:
+    """H at one t; see eval_H_grid."""
+    return _at(eval_H_grid, params, t)
+
+
+def eval_P(params: PParams, t: float) -> float:
+    """P at one t; see eval_P_grid."""
+    return _at(eval_P_grid, params, t)
 
 
 def eval_H_signed_log(params: HParams, t: float) -> SignedLogValue:
     """H(t) as a signed-log value; exact even far outside float range."""
-    t = _check_t(t)
     d1 = params.alpha - params.beta
     d2 = params.lam - params.mu
     sign = 1 if d1 * d2 > 0.0 else -1
-    log_mag = float(kernels.log_abs_h(params.alpha, params.beta, params.lam, params.mu, np.array([t]))[0])
-    return SignedLogValue(sign, log_mag)
+    return SignedLogValue(sign, _at(log_abs_H_grid, params, t))
 
 
 # ---------------------------------------------------------------------------

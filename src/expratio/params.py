@@ -134,10 +134,6 @@ class QReduction:
     degenerate: bool = False
 
 
-# exp() overflows just above this; used when materializing signed logs
-_EXP_MAX = 709.0
-
-
 @dataclass(frozen=True)
 class SignedLogValue:
     """Overflow-safe carrier: value = sign * exp(log_mag).
@@ -166,9 +162,10 @@ class SignedLogValue:
         """Materialize, saturating to +-inf / signed zero out of range."""
         if self.sign == 0:
             return 0.0
-        if self.log_mag > _EXP_MAX:
-            return math.inf if self.sign > 0 else -math.inf
-        return self.sign * math.exp(self.log_mag)
+        try:
+            return self.sign * math.exp(self.log_mag)
+        except OverflowError:
+            return self.sign * math.inf
 
     def __mul__(self, other: "SignedLogValue") -> "SignedLogValue":
         if self.sign == 0 or other.sign == 0:

@@ -25,6 +25,24 @@ def mp_H(alpha, beta, lam, mu, t):
         return (mp.e**(a * tt) - mp.e**(b * tt)) / (mp.e**(l * tt) - mp.e**(m * tt))
 
 
+def mp_G(a, b, t):
+    """Reference G(t) = (b^t - a^t) / t."""
+    with mp.workdps(DPS):
+        a, b, tt = map(mp.mpf, (a, b, t))
+        if tt == 0:
+            return mp.log(b) - mp.log(a)
+        return (b**tt - a**tt) / tt
+
+
+def mp_F(a, b, t):
+    """Reference F(t) = t / (e^{bt} - e^{at})."""
+    with mp.workdps(DPS):
+        a, b, tt = map(mp.mpf, (a, b, t))
+        if tt == 0:
+            return 1 / (b - a)
+        return tt / (mp.e**(b * tt) - mp.e**(a * tt))
+
+
 def mp_log_abs_H(alpha, beta, lam, mu, t):
     with mp.workdps(DPS):
         return mp.log(abs(mp_H(alpha, beta, lam, mu, t)))

@@ -1,9 +1,20 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from expratio import HParams, eval_H
+from expratio import (
+    GFParams,
+    HParams,
+    PParams,
+    QParams,
+    eval_F,
+    eval_G,
+    eval_H,
+    eval_P,
+    eval_Q,
+)
 from expratio.cli import main
 
 
@@ -13,7 +24,53 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+_SCALAR = {
+    "G": (GFParams, eval_G),
+    "F": (GFParams, eval_F),
+    "H": (HParams, eval_H),
+    "P": (PParams, eval_P),
+    "Q": (QParams, eval_Q),
+}
+
+
+def _expected_ts(range_args):
+    start, stop, count = (float(x) for x in range_args[1:4])
+    if "--log" in range_args:
+        side = np.geomspace(start, stop, int(count))
+        return np.concatenate([-side[::-1], side])
+    return np.linspace(start, stop, int(count))
+
+
 class TestEval:
+    @pytest.mark.parametrize(
+        "func, params, range_args",
+        [
+            pytest.param("G", ["0.5", "2.5"], ["--range", "-700", "700", "57"], id="G"),
+            pytest.param("F", ["-1.5", "0.75"], ["--range", "-300", "300", "57"], id="F"),
+            pytest.param("H", ["1.5", "-0.5", "2.5", "0.25"], ["--range", "-3", "3", "25"], id="H"),
+            pytest.param("P", ["2", "3", "5", "7"], ["--range", "-50", "50", "41"], id="P"),
+            pytest.param("Q", ["0", "0.5"], ["--range", "-40", "40", "41"], id="Q"),
+            pytest.param("G", ["0.5", "2.5"], ["--range", "1e-9", "720", "40", "--log"], id="G-log"),
+            pytest.param("F", ["-1.5", "0.75"], ["--range", "1e-9", "300", "40", "--log"], id="F-log"),
+        ],
+    )
+    def test_csv_rows_match_scalar(self, capsys, func, params, range_args):
+        code, out, _ = run_cli(
+            capsys, "eval", func, *params, *range_args, "--format", "csv"
+        )
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0] == "t,value"
+        make, scalar = _SCALAR[func]
+        p = make(*map(float, params))
+        ts = _expected_ts(range_args)
+        assert len(lines) == len(ts) + 1
+        for line, want_t in zip(lines[1:], ts):
+            t_s, v_s = line.split(",")
+            assert float(t_s) == want_t
+            # 17 significant digits round-trip bit-for-bit
+            assert float(v_s) == scalar(p, float(t_s)), line
+
     def test_single_point(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "H", "3", "1", "2", "0", "--t", "1")
         assert code == 0
@@ -30,21 +87,6 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "H", "1", "0", "1", "0", "--t", "1")
         assert code == 2
         assert "lambda" in err or "excluded" in err
-
-    def test_csv_round_trip(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "eval", "H", "1.5", "-0.5", "2.5", "0.25",
-            "--range", "-3", "3", "25", "--format", "csv",
-        )
-        assert code == 0
-        lines = out.strip().split("\n")
-        assert lines[0] == "t,value"
-        p = HParams(1.5, -0.5, 2.5, 0.25)
-        assert len(lines) == 26
-        for line in lines[1:]:
-            t_s, v_s = line.split(",")
-            # 17 significant digits must round-trip bit-for-bit
-            assert float(v_s) == eval_H(p, float(t_s))
 
     def test_log_range_mirrored(self, capsys):
         code, out, _ = run_cli(

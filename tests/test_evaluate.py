@@ -21,7 +21,7 @@ from expratio import (
     reduce_H_to_Q,
 )
 
-from conftest import mp_H, mp_log_abs_H, mp_log_deriv_H, random_hparams, rel_err
+from conftest import mp_F, mp_G, mp_H, mp_log_abs_H, mp_log_deriv_H, random_hparams, rel_err
 
 E = math.e
 
@@ -94,6 +94,30 @@ class TestAgainstReference:
             for t in (-3.0, -0.01, 0.0, 0.5, 4.0):
                 want = mp_H(math.log(r), math.log(s), math.log(u), math.log(v), t)
                 assert rel_err(eval_P(p, t), want) < 1e-12
+
+    # |t| up to 700 with ln a, ln b, a, b in [-1, 1]: every value is a
+    # normal double, so the relative bound holds at every point
+    _T_WIDE = np.concatenate([[0.0], np.geomspace(1e-9, 700, 24), -np.geomspace(1e-9, 700, 24)])
+
+    def test_G_random(self, rng):
+        for _ in range(30):
+            la, lb = np.sort(rng.uniform(-1, 1, size=2))
+            if lb - la < 0.05:
+                continue
+            p = GFParams(math.exp(la), math.exp(lb))
+            for t in self._T_WIDE:
+                want = mp_G(p.a, p.b, t)
+                assert rel_err(eval_G(p, float(t)), want) < 1e-12, (p, t)
+
+    def test_F_random(self, rng):
+        for _ in range(30):
+            a, b = rng.uniform(-1, 1, size=2)
+            if abs(a - b) < 0.05:
+                continue
+            p = GFParams(a, b)
+            for t in self._T_WIDE:
+                want = mp_F(p.a, p.b, t)
+                assert rel_err(eval_F(p, float(t)), want) < 1e-12, (p, t)
 
     def test_signed_log_random(self, rng):
         for p in random_hparams(rng, 20):
@@ -186,6 +210,19 @@ class TestOverflowSafety:
         p = HParams(3, 1, 2, 0)  # e^t
         assert eval_H(p, 5000.0) == math.inf
         assert eval_H(p, 600.0) == pytest.approx(math.exp(600.0), rel=1e-12)
+
+    def test_signed_log_saturates_where_exp_overflows(self):
+        p = HParams(2, 0, 1, 0)  # e^t + 1, about 1.355e308 at t = 709.5
+        value = eval_H(p, 709.5)
+        assert math.isfinite(value)
+        assert eval_H_signed_log(p, 709.5).to_float() == value
+
+    def test_G_finite_up_to_dbl_max(self):
+        want = mp_G(1.0, E, 716.0)  # (e^716 - 1) / 716, about 1.2587e308
+        got = eval_G(GFParams(1.0, E), 716.0)
+        assert math.isfinite(got)
+        assert rel_err(got, want) < 1e-12
+        assert eval_G(GFParams(1.0, E), 720.0) == math.inf
 
     def test_no_nan_anywhere(self, rng):
         for p in random_hparams(rng, 10):

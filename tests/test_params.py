@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -108,6 +109,11 @@ class TestSignedLogValue:
         big = SignedLogValue(1, 1e4)
         assert big.to_float() == math.inf
         assert SignedLogValue(-1, 1e4).to_float() == -math.inf
+        # saturation happens where exp overflows, not before
+        ln_max = math.log(sys.float_info.max)
+        assert SignedLogValue(-1, 709.5).to_float() == -math.exp(709.5)
+        assert SignedLogValue(1, ln_max + 1e-3).to_float() == math.inf
+        assert math.copysign(1.0, SignedLogValue(-1, -1e4).to_float()) == -1.0
 
     def test_mul_div(self):
         a = SignedLogValue.from_value(-3.0)
