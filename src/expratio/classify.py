@@ -9,8 +9,18 @@ invariants
 
 (with (a, b, l, m) the four exponents), plus the ordering of l and m.
 Each (interval, direction) pair has exactly two qualifying branches, one
-per ordering; the decision table emitter and the verdict logic share the
-same branch encoding so they cannot diverge.
+per ordering; the decision table emitter and the verdict lookup are both
+derived from the same branch encoding so they cannot diverge.
+
+One sign rule decides every boundary: a value within the zero band counts
+as 0.  Each invariant gets its band sign (-1, 0 or +1, band from
+``zero_band_width``) once per call and every verdict reads those signs; the
+ratio (a-b)/(l-m) is compared with 1 in one place,
+``classify_log_convexity_H``, where |ratio - 1| <= ZERO_BAND_EPS is
+log-affine, and the third-order verdict follows from that answer.  Band
+hits, ``"ratio"`` among them, are reported in ``zero_band_hits``.  Q and P
+are adapters over ``classify_H``: Q(alpha, beta) is H(-alpha, -beta, 0, -1)
+and P is H of the logarithms of its bases.
 
 Useful algebraic facts, relied on by the consistency checks:
 C - B = D - E = 2 (a-b)|a-b|, and B + D = C + E = 2A, so the whole-line
@@ -20,7 +30,7 @@ conditions imply both half-line conditions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .params import HParams, PParams, QParams
@@ -206,49 +216,43 @@ _BRANCHES: dict[tuple[Interval, Direction], tuple] = {
 }
 
 
-def _branch_holds(inv: InvariantSet, ordering: str, conds, lam_gt_mu: bool, band: float):
-    """(holds, hits): sign tests with the zero band; hits lists invariants
-    whose value fell inside the band."""
-    if (ordering == "gt") != lam_gt_mu:
-        return False, []
-    hits = []
-    for name, sign in conds:
-        x = inv.get(name)
-        if abs(x) < band:
-            hits.append(name)
-        if sign == ">=0":
-            if not (x >= -band):
-                return False, hits
-        else:
-            if not (x <= band):
-                return False, hits
-    return True, hits
+def _lookup_from_branches() -> dict[bool, tuple]:
+    """lambda > mu -> ((interval, branches), ...) in Interval order, branches
+    being the increasing then the decreasing branch of that ordering, each as
+    (name1, want1, name2, want2, verdict) with want +1 for ">=0" and -1 for
+    "<=0".  Every verdict, fired conditions included, is built here once."""
+    want = {">=0": 1, "<=0": -1}
+    lookup: dict[bool, dict[Interval, list]] = {True: {}, False: {}}
+    for (interval, direction), branches in _BRANCHES.items():
+        for ordering, conds in branches:
+            gt = ordering == "gt"
+            (n1, s1), (n2, s2) = conds
+            fired = (("lambda>mu" if gt else "lambda<mu", ""),) + conds
+            lookup[gt].setdefault(interval, []).append(
+                (n1, want[s1], n2, want[s2], MonotonicityVerdict(direction, fired))
+            )
+    return {gt: tuple(by_interval.items()) for gt, by_interval in lookup.items()}
 
 
-def _classify_monotonicity(inv: InvariantSet, lam_gt_mu: bool, interval: Interval, band: float):
-    fired: list[tuple[str, str]] = []
-    hits: list[str] = []
-    direction = Direction.NON_MONOTONIC
-    for want in (Direction.INCREASING, Direction.DECREASING):
-        for ordering, conds in _BRANCHES[(interval, want)]:
-            holds, h = _branch_holds(inv, ordering, conds, lam_gt_mu, band)
-            hits.extend(h)
-            if holds and direction == Direction.NON_MONOTONIC:
-                direction = want
-                fired = [("lambda>mu" if ordering == "gt" else "lambda<mu", "")] + list(conds)
-    return MonotonicityVerdict(direction, tuple(fired)), hits
+_LOOKUP = _lookup_from_branches()
+_NON_MONOTONIC = MonotonicityVerdict(Direction.NON_MONOTONIC)
+# the invariants each ordering's branches test, in first-tested order
+_TESTED = {
+    gt: tuple(dict.fromkeys(b[i] for _, branches in table for b in branches for i in (0, 2)))
+    for gt, table in _LOOKUP.items()
+}
 
 
 def classify_monotonicity_H(params: HParams, interval: Interval) -> MonotonicityVerdict:
-    inv = compute_invariants(params)
-    verdict, _ = _classify_monotonicity(inv, params.lam > params.mu, interval, zero_band_width(params))
-    return verdict
+    return classify_H(params).monotonicity[interval]
 
 
 def classify_log_convexity_H(params: HParams) -> ConvexityVerdict:
+    """The only comparison of the ratio with 1, made inside the zero band.
+    The ratio's sign needs no band: alpha != beta keeps it off 0."""
     ratio = (params.alpha - params.beta) / (params.lam - params.mu)
-    if ratio == 1.0:
-        # H(t) = e^{(beta-mu) t} exactly
+    if abs(ratio - 1.0) <= ZERO_BAND_EPS:
+        # H(t) = e^{(beta-mu) t}, exactly so when ratio == 1
         return ConvexityVerdict(ConvexityKind.LOG_AFFINE, ratio, exponent=params.beta - params.mu)
     if ratio > 1.0:
         return ConvexityVerdict(ConvexityKind.LOG_CONVEX, ratio)
@@ -257,104 +261,82 @@ def classify_log_convexity_H(params: HParams) -> ConvexityVerdict:
     return ConvexityVerdict(ConvexityKind.NOT_COVERED, ratio)
 
 
+# Reduction to the two-exponent form: (ln H)'''(t) = (lam-mu)^3 times the
+# third log-derivative of Q at w = (lam-mu)t.  The odd power flips the sign
+# exactly when the substitution flips the half-lines, so the two effects
+# cancel and the verdict depends on the ratio alone, read here from the
+# convexity kind.
+_THIRD_ORDER = {
+    ConvexityKind.LOG_CONCAVE: ThirdOrderVerdict(ThirdOrderKind.CONVEX_POS_CONCAVE_NEG),
+    ConvexityKind.LOG_CONVEX: ThirdOrderVerdict(ThirdOrderKind.CONCAVE_POS_CONVEX_NEG),
+    ConvexityKind.LOG_AFFINE: ThirdOrderVerdict(ThirdOrderKind.NOT_COVERED),
+    ConvexityKind.NOT_COVERED: ThirdOrderVerdict(ThirdOrderKind.NOT_COVERED),
+}
+
+
 def classify_3log_H(params: HParams) -> ThirdOrderVerdict:
-    # Reduction to the two-exponent form: (ln H)'''(t) = (lam-mu)^3 times
-    # the third log-derivative of Q at w = (lam-mu)t.  The odd power flips
-    # the sign exactly when the substitution flips the half-lines, so the
-    # two effects cancel and the verdict depends on the ratio alone.
-    ratio = (params.alpha - params.beta) / (params.lam - params.mu)
-    if 0.0 < ratio < 1.0:
-        return ThirdOrderVerdict(ThirdOrderKind.CONVEX_POS_CONCAVE_NEG)
-    if ratio > 1.0:
-        return ThirdOrderVerdict(ThirdOrderKind.CONCAVE_POS_CONVEX_NEG)
-    return ThirdOrderVerdict(ThirdOrderKind.NOT_COVERED)
+    return _THIRD_ORDER[classify_log_convexity_H(params).kind]
 
 
 def classify_H(params: HParams) -> ClassificationReport:
     inv = compute_invariants(params)
     band = zero_band_width(params)
+    values = inv.as_dict()
+    # band sign: -1, 0 or +1, with 0 meaning -band <= x <= band; NaN stays
+    # NaN and so fails every sign condition, as the plain comparisons do
+    signs = {name: (x > band) - (x < -band) if x == x else x for name, x in values.items()}
     lam_gt_mu = params.lam > params.mu
     mono = {}
-    hits: list[str] = []
-    for interval in Interval:
-        verdict, h = _classify_monotonicity(inv, lam_gt_mu, interval, band)
+    for interval, branches in _LOOKUP[lam_gt_mu]:
+        for n1, w1, n2, w2, verdict in branches:
+            if signs[n1] * w1 >= 0 and signs[n2] * w2 >= 0:
+                break
+        else:
+            verdict = _NON_MONOTONIC
         mono[interval] = verdict
-        hits.extend(h)
-    seen = tuple(dict.fromkeys(hits))
+    convexity = classify_log_convexity_H(params)
+    hits = tuple(name for name in _TESTED[lam_gt_mu] if abs(values[name]) < band)
+    if convexity.kind is ConvexityKind.LOG_AFFINE:
+        hits += ("ratio",)
     return ClassificationReport(
         invariants=inv,
         monotonicity=mono,
-        convexity=classify_log_convexity_H(params),
-        third_order=classify_3log_H(params),
-        zero_band_hits=seen,
+        convexity=convexity,
+        third_order=_THIRD_ORDER[convexity.kind],
+        zero_band_hits=hits,
     )
 
 
 def classify_P(params: PParams) -> ClassificationReport:
     """Classify the positive-base ratio: identical calculus via logarithms,
     with the invariants also reported in their base form."""
-    report = classify_H(params.log_params())
-    return ClassificationReport(
-        invariants=report.invariants,
-        monotonicity=report.monotonicity,
-        convexity=report.convexity,
-        third_order=report.third_order,
-        zero_band_hits=report.zero_band_hits,
-        frak_invariants=compute_frak_invariants(params),
-    )
+    return replace(classify_H(params.log_params()), frak_invariants=compute_frak_invariants(params))
 
 
 # ---------------------------------------------------------------------------
-# two-exponent function Q
+# two-exponent function Q = H(-alpha, -beta, 0, -1): lambda > mu, and the
+# invariants A, C, E are Q's own q1, q2, q3
 
-def _q_invariants(params: QParams) -> dict[str, float]:
-    a, b = params.alpha, params.beta
-    d = b - a
-    ad = abs(a - b)
-    return {
-        "q1": d * (1.0 - a - b),
-        "q2": d * (ad - a - b),
-        "q3": d * (2.0 - ad - a - b),
-    }
-
-
-_Q_CONDITIONS = {
-    Interval.POSITIVE_HALF_LINE: ("q1", "q2"),
-    Interval.NEGATIVE_HALF_LINE: ("q1", "q3"),
-    Interval.WHOLE_LINE: ("q2", "q3"),
+_Q_NAMES = {"A": "q1", "C": "q2", "E": "q3", "ratio": "ratio"}
+_Q_VERDICTS = {
+    v: MonotonicityVerdict(v.direction, tuple((_Q_NAMES[n], s) for n, s in v.fired_conditions[1:]))
+    for v in [_NON_MONOTONIC] + [b[4] for _, branches in _LOOKUP[True] for b in branches]
 }
 
 
 def classify_monotonicity_Q(params: QParams, interval: Interval) -> MonotonicityVerdict:
-    qi = _q_invariants(params)
-    scale = max(1.0, abs(params.alpha), abs(params.beta))
-    band = ZERO_BAND_EPS * scale * scale
-    names = _Q_CONDITIONS[interval]
-    if all(qi[n] >= -band for n in names):
-        return MonotonicityVerdict(Direction.INCREASING, tuple((n, ">=0") for n in names))
-    if all(qi[n] <= band for n in names):
-        return MonotonicityVerdict(Direction.DECREASING, tuple((n, "<=0") for n in names))
-    return MonotonicityVerdict(Direction.NON_MONOTONIC)
+    return classify_Q(params).monotonicity[interval]
 
 
 def classify_Q(params: QParams) -> QReport:
-    d = params.beta - params.alpha
-    scale = max(1.0, abs(params.alpha), abs(params.beta))
-    band = ZERO_BAND_EPS * scale * scale
-    qi = _q_invariants(params)
-    hits = tuple(n for n, x in qi.items() if abs(x) < band)
-    if 0.0 < d < 1.0:
-        third = ThirdOrderVerdict(ThirdOrderKind.CONVEX_POS_CONCAVE_NEG)
-    elif d > 1.0:
-        third = ThirdOrderVerdict(ThirdOrderKind.CONCAVE_POS_CONVEX_NEG)
-    else:
-        third = ThirdOrderVerdict(ThirdOrderKind.NOT_COVERED)
+    report = classify_H(params.h_params())
+    kind = report.convexity.kind
     return QReport(
-        monotonicity={iv: classify_monotonicity_Q(params, iv) for iv in Interval},
-        log_convex=d > 1.0,
-        log_concave=0.0 < d < 1.0,
-        third_order=third,
-        zero_band_hits=hits,
+        monotonicity={iv: _Q_VERDICTS[v] for iv, v in report.monotonicity.items()},
+        log_convex=kind is ConvexityKind.LOG_CONVEX,
+        log_concave=kind is ConvexityKind.LOG_CONCAVE,
+        third_order=report.third_order,
+        zero_band_hits=tuple(_Q_NAMES[n] for n in report.zero_band_hits),
     )
 
 

@@ -28,6 +28,7 @@ from .classify import (
     Interval,
     ThirdOrderKind,
     classify_H,
+    classify_log_convexity_H,
 )
 
 __all__ = [
@@ -254,16 +255,17 @@ def four_log_sign_change_search(
 ) -> float | None:
     """Locate a sign change of the 4th log-derivative on one half line.
 
-    Rejects parameter sets with (alpha-beta)/(lam-mu) in {0, 1}: those are
-    log-affine, every higher log-derivative vanishes identically.  Scans for
-    adjacent grid points with confident opposite FD signs, preferring the
-    pair farthest above the noise floor, then bisects to the requested
-    relative bracket width.  Returns the crossing point or None.
+    Rejects parameter sets with (alpha-beta)/(lam-mu) equal to 0 or, within
+    the classifier's zero band, to 1: those are log-affine, and every higher
+    log-derivative vanishes identically.  Scans for adjacent grid points
+    with confident opposite FD signs, preferring the pair farthest above the
+    noise floor, then bisects to the requested relative bracket width.
+    Returns the crossing point or None.
     """
     if interval is Interval.WHOLE_LINE:
         raise ValueError("search runs on one half line at a time")
-    ratio = (params.alpha - params.beta) / (params.lam - params.mu)
-    if ratio == 0.0 or ratio == 1.0:
+    convexity = classify_log_convexity_H(params)
+    if convexity.ratio == 0.0 or convexity.kind is ConvexityKind.LOG_AFFINE:
         raise ValueError("log-affine parameters: order-4 log-derivative is identically 0")
     if grid is None:
         # crossings can sit outside the default window; widen before giving up

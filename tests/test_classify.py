@@ -179,6 +179,20 @@ class TestConvexity:
         assert v.kind is ConvexityKind.LOG_AFFINE
         assert v.exponent == 1.0  # H = e^t
 
+    def test_log_affine_within_band(self):
+        # H = e^{-t}, but the ratio rounds to 1.0000000000000002
+        p = HParams(1.3, 0.3, 2.3, 1.3)
+        v = classify_log_convexity_H(p)
+        assert v.kind is ConvexityKind.LOG_AFFINE and v.ratio != 1.0
+        assert v.exponent == -1.0
+        assert classify_3log_H(p).kind is ThirdOrderKind.NOT_COVERED
+        assert classify_H(p).zero_band_hits == ("ratio",)
+
+    def test_ratio_outside_band(self):
+        p = HParams(1 + 1e-9, 0, 1, 0)
+        assert classify_log_convexity_H(p).kind is ConvexityKind.LOG_CONVEX
+        assert "ratio" not in classify_H(p).zero_band_hits
+
     def test_negative_ratio_not_covered(self):
         v = classify_log_convexity_H(HParams(1, 0, 0, 2))
         assert v.kind is ConvexityKind.NOT_COVERED
@@ -261,8 +275,8 @@ class TestQClassification:
         assert rep.third_order.kind is ThirdOrderKind.CONVEX_POS_CONCAVE_NEG
 
     def test_matches_four_exponent_classifier(self, rng):
-        # Q's own condition set must agree with classifying the equivalent
-        # four-exponent parameters
+        # Q is classified through the equivalent four-exponent parameters;
+        # the adapter must carry every verdict over unchanged
         n = 0
         while n < 40:
             a, b = rng.uniform(-4, 4, size=2)

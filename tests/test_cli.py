@@ -166,6 +166,49 @@ class TestClassify:
         code, out, _ = run_cli(capsys, "classify", "Q", "0", "2", "--format", "json")
         doc = json.loads(out)
         assert doc["log_convex"] is True and doc["log_concave"] is False
+        assert doc["zero_band_hits"] == ["q2"]
+
+    def test_Q_document(self, capsys):
+        # Q is classified as H(-alpha, -beta, 0, -1); its document keeps
+        # the q1/q2/q3 names and no lambda>mu entry
+        code, out, _ = run_cli(capsys, "classify", "Q", "0.2", "0.8", "--format", "json")
+        assert code == 0
+        assert out == (
+            '{"function": "Q", "params": [0.2, 0.8], "monotonicity": '
+            '{"(0,inf)": {"direction": "decreasing", "fired_conditions": '
+            '[["q1", "<=0"], ["q2", "<=0"]]}, '
+            '"(-inf,0)": {"direction": "increasing", "fired_conditions": '
+            '[["q1", ">=0"], ["q3", ">=0"]]}, '
+            '"(-inf,inf)": {"direction": "non-monotonic", "fired_conditions": []}}, '
+            '"log_convex": false, "log_concave": true, "third_order": '
+            '{"kind": "3-log-convex on (0,inf), 3-log-concave on (-inf,0)", '
+            '"sufficient_only": true}, "zero_band_hits": ["q1"]}\n'
+        )
+
+    def test_Q_ratio_one_in_band(self, capsys):
+        # Q_{1.3,2.3}(t) = e^{-1.3 t}; beta - alpha rounds to 0.9999999999999998
+        code, out, _ = run_cli(capsys, "classify", "Q", "1.3", "2.3", "--format", "json")
+        doc = json.loads(out)
+        assert doc["log_convex"] is False and doc["log_concave"] is False
+        assert doc["third_order"]["kind"] == "not-covered"
+        assert doc["zero_band_hits"] == ["ratio"]
+
+    def test_H_ratio_one_in_band(self, capsys):
+        # H(1.3, 0.3, 2.3, 1.3) = e^{-t}; the ratio rounds to 1.0000000000000002
+        code, out, _ = run_cli(
+            capsys, "classify", "H", "1.3", "0.3", "2.3", "1.3", "--format", "json"
+        )
+        doc = json.loads(out)
+        assert doc["convexity"]["kind"] == "log-affine"
+        assert doc["convexity"]["exponent"] == -1.0
+        assert doc["third_order"]["kind"] == "not-covered"
+        assert doc["zero_band_hits"] == ["ratio"]
+
+    def test_exact_ratio_one_listed(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "H", "3", "1", "2", "0", "--format", "json")
+        doc = json.loads(out)
+        assert doc["convexity"]["kind"] == "log-affine"
+        assert doc["zero_band_hits"] == ["ratio"]
 
     def test_invalid_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "classify", "Q", "0", "1")

@@ -14,6 +14,8 @@ from expratio import (
     log_deriv_H,
     numeric_log_derivative,
 )
+from expratio.oracle import _check_one
+from expratio.params import ParameterError
 
 from conftest import mp_log_deriv_H, random_hparams
 
@@ -164,6 +166,11 @@ class TestFourLogSearch:
         with pytest.raises(ValueError):
             four_log_sign_change_search(HParams(3, 1, 2, 0), Interval.POSITIVE_HALF_LINE)
 
+    def test_log_affine_within_band_rejected(self):
+        # H = e^{-t}; the ratio rounds to 1.0000000000000002
+        with pytest.raises(ValueError):
+            four_log_sign_change_search(HParams(1.3, 0.3, 2.3, 1.3), Interval.POSITIVE_HALF_LINE)
+
     def test_whole_line_rejected(self):
         with pytest.raises(ValueError):
             four_log_sign_change_search(HParams(1, 0, 2, 0), Interval.WHOLE_LINE)
@@ -191,3 +198,38 @@ class TestCrossValidate:
     def test_draws_validation(self):
         with pytest.raises(ValueError):
             cross_validate(0, seed=1)
+
+
+def _family_draws(family: str, n: int, seed: int) -> list[HParams]:
+    """n exponent quadruples on one decision boundary: A = 0 (mu = alpha +
+    beta - lambda), C = 0 (lambda = max(alpha, beta)), E = 0 (mu =
+    min(alpha, beta)) or ratio = 1 (mu = lambda - (alpha - beta))."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        a, b, l, m = rng.uniform(-5.0, 5.0, size=4)
+        if family == "A0":
+            m = a + b - l
+        elif family == "C0":
+            l = max(a, b)
+        elif family == "E0":
+            m = min(a, b)
+        elif family == "ratio1":
+            m = l - (a - b)
+        if min(abs(a - b), abs(l - m)) < 0.05:
+            continue
+        try:
+            out.append(HParams(a, b, l, m))
+        except ParameterError:
+            continue
+    return out
+
+
+@pytest.mark.parametrize("family", ["A0", "C0", "E0", "ratio1"])
+def test_boundary_families_clean(family):
+    # rounding puts these draws on either side of the boundary, so the
+    # classifier must flag them through its zero band rather than guess
+    grid = GridSpec()
+    draws = _family_draws(family, 300, seed=5)
+    bad = [p for p in draws if _check_one(p, grid)[0] == "contradiction"]
+    assert bad == [], f"{len(bad)}/300 contradictions, first {bad[0].as_tuple()}"
