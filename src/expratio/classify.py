@@ -147,17 +147,20 @@ class QReport:
     zero_band_hits: tuple[str, ...] = ()
 
 
-def compute_invariants(params: HParams) -> InvariantSet:
-    a, b, l, m = params.as_tuple()
+def _invariant_values(a: float, b: float, l: float, m: float) -> dict[str, float]:
     d = a - b
     ad = abs(d)
-    return InvariantSet(
-        A=d * (a + b - l - m),
-        B=d * (a + b - ad - 2.0 * l),
-        C=d * (a + b + ad - 2.0 * l),
-        D=d * (a + b + ad - 2.0 * m),
-        E=d * (a + b - ad - 2.0 * m),
-    )
+    return {
+        "A": d * (a + b - l - m),
+        "B": d * (a + b - ad - 2.0 * l),
+        "C": d * (a + b + ad - 2.0 * l),
+        "D": d * (a + b + ad - 2.0 * m),
+        "E": d * (a + b - ad - 2.0 * m),
+    }
+
+
+def compute_invariants(params: HParams) -> InvariantSet:
+    return InvariantSet(**_invariant_values(*params.as_tuple()))
 
 
 def compute_frak_invariants(params: PParams) -> FrakInvariantSet:
@@ -173,10 +176,26 @@ def compute_frak_invariants(params: PParams) -> FrakInvariantSet:
     )
 
 
-def zero_band_width(params: HParams) -> float:
-    """Half-width of the ambiguity band for invariant sign tests."""
+def _band(params: HParams) -> tuple[float, float]:
+    """(zero_band_width(params), p2), p2 being the largest power of two not
+    above scale = max(1, |alpha|, |beta|, |lam|, |mu|)."""
     scale = max(1.0, abs(params.alpha), abs(params.beta), abs(params.lam), abs(params.mu))
-    return ZERO_BAND_EPS * scale * scale
+    p2 = math.ldexp(1.0, math.frexp(scale)[1] - 1)
+    return ZERO_BAND_EPS * (scale / p2) * (scale / p2), p2
+
+
+def zero_band_width(params: HParams) -> float:
+    """Half-width of the ambiguity band for invariant sign tests, applied to
+    the invariants of the parameters divided by p2, the largest power of two
+    not above scale = max(1, |alpha|, |beta|, |lam|, |mu|).
+
+    The invariants are quadratic in the parameters, and dividing by a power
+    of two only shifts exponents, so those are the invariants divided by
+    p2^2, rounded alike, and this band is ZERO_BAND_EPS * scale^2 / p2^2.
+    Unlike the unscaled band and invariants it never overflows: the width
+    lies in [ZERO_BAND_EPS, 4 ZERO_BAND_EPS) for every finite parameter set.
+    """
+    return _band(params)[0]
 
 
 # Branch encoding shared by the verdict logic and the table emitter.
@@ -280,8 +299,9 @@ def classify_3log_H(params: HParams) -> ThirdOrderVerdict:
 
 def classify_H(params: HParams) -> ClassificationReport:
     inv = compute_invariants(params)
-    band = zero_band_width(params)
-    values = inv.as_dict()
+    band, p2 = _band(params)
+    a, b, l, m = params.as_tuple()
+    values = _invariant_values(a / p2, b / p2, l / p2, m / p2)
     # band sign: -1, 0 or +1, with 0 meaning -band <= x <= band; NaN stays
     # NaN and so fails every sign condition, as the plain comparisons do
     signs = {name: (x > band) - (x < -band) if x == x else x for name, x in values.items()}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -242,8 +243,22 @@ def cmd_table(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads -1e-3, -2E+1 and -.5e3 as negative numbers.
+
+    argparse takes an argument that starts with "-" for an option unless it
+    matches its negative-number pattern, which before Python 3.13 has no
+    exponent.  Subparsers inherit the class, so every level gets the wider
+    pattern.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="expratio",
         description="Evaluate and classify ratios of exponential differences.",
     )

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,7 +60,8 @@ MONO_TOL = 1e-11
 @dataclass(frozen=True)
 class GridSpec:
     """Log-spaced probe grid: magnitudes in [t_min, t_max], mirrored to t<0
-    when include_negative is set."""
+    when include_negative is set.  Each instance builds its points once and
+    hands out the same read-only arrays on every call."""
 
     t_min: float = 1e-3
     t_max: float = 10.0
@@ -72,18 +74,31 @@ class GridSpec:
         if self.points_per_side < 8:
             raise ValueError("need at least 8 points per side")
 
+    @cached_property
+    def _points(self) -> dict[Interval, np.ndarray]:
+        pos = np.geomspace(self.t_min, self.t_max, self.points_per_side)
+        neg = -pos[::-1]
+        pts = {
+            Interval.POSITIVE_HALF_LINE: pos,
+            Interval.NEGATIVE_HALF_LINE: neg,
+            Interval.WHOLE_LINE: np.concatenate([neg, pos]),
+        }
+        for arr in pts.values():
+            arr.flags.writeable = False
+        return pts
+
     def side(self, positive: bool) -> np.ndarray:
-        pts = np.geomspace(self.t_min, self.t_max, self.points_per_side)
-        return pts if positive else -pts[::-1]
+        return self._points[
+            Interval.POSITIVE_HALF_LINE if positive else Interval.NEGATIVE_HALF_LINE
+        ]
 
     def points(self, interval: Interval) -> np.ndarray:
-        if interval is Interval.POSITIVE_HALF_LINE:
-            return self.side(True)
-        if interval is Interval.NEGATIVE_HALF_LINE:
-            if not self.include_negative:
-                raise ValueError("grid excludes negative t")
-            return self.side(False)
-        return np.concatenate([self.side(False), self.side(True)])
+        if interval is Interval.NEGATIVE_HALF_LINE and not self.include_negative:
+            raise ValueError("grid excludes negative t")
+        return self._points[interval]
+
+
+_DEFAULT_GRID = GridSpec()
 
 
 @dataclass(frozen=True)
@@ -185,13 +200,34 @@ def numeric_log_derivative(
     return est, err
 
 
-def _signed_log_grid(params: HParams, ts: np.ndarray) -> np.ndarray:
-    """sign(H) * ln|H| on the grid: monotone in t exactly when H is, because
-    sign(H) = sign((alpha-beta)(lam-mu)) is constant in t."""
+def _monotonicity_scan(
+    params: HParams, grid: GridSpec, tol: float = MONO_TOL
+) -> dict[Interval, OracleVerdict]:
+    """Rise/fall scans of all three intervals from one kernel call.
+
+    sign(H) * ln|H| is monotone in t exactly when H is, because sign(H) =
+    sign((alpha-beta)(lam-mu)) is constant in t.  It is evaluated once on
+    the whole-line grid with the continuity value inserted at the origin;
+    each half line aggregates its own slice of the consecutive differences,
+    which are elementwise those of a scan of that half line alone.
+    """
+    ts = grid.points(Interval.WHOLE_LINE)
+    half = len(ts) // 2
     a, b, l, m = params.as_tuple()
-    logs = kernels.log_abs_h(a, b, l, m, ts)
     sgn = 1.0 if (a - b) * (l - m) > 0 else -1.0
-    return sgn * logs
+    logs = kernels.log_abs_h(a, b, l, m, ts)
+    vals = sgn * np.concatenate([logs[:half], [math.log(abs((a - b) / (l - m)))], logs[half:]])
+    knots = np.concatenate([ts[:half], [0.0], ts[half:]])
+    diffs = np.diff(vals)
+    mids = 0.5 * (knots[:-1] + knots[1:])
+    cuts = np.full(diffs.shape, tol)
+    # the two differences that touch the origin belong to the whole line only
+    parts = {
+        Interval.POSITIVE_HALF_LINE: slice(half + 1, None),
+        Interval.NEGATIVE_HALF_LINE: slice(0, half - 1),
+        Interval.WHOLE_LINE: slice(None),
+    }
+    return {iv: _aggregate(mids[s], diffs[s], cuts[s]) for iv, s in parts.items()}
 
 
 def grid_monotonicity_check(
@@ -203,24 +239,29 @@ def grid_monotonicity_check(
     log of H (equivalent to relative slack on H itself); moves inside it are
     treated as flat.
     """
-    grid = grid or GridSpec()
-    ts = grid.points(interval)
-    if interval is Interval.WHOLE_LINE:
-        # insert the continuity value at the origin so the scan covers it
-        d1 = params.alpha - params.beta
-        d2 = params.lam - params.mu
-        mid = (1.0 if d1 * d2 > 0 else -1.0) * math.log(abs(d1 / d2))
-        half = len(ts) // 2
-        vals = np.concatenate(
-            [_signed_log_grid(params, ts[:half]), [mid], _signed_log_grid(params, ts[half:])]
-        )
-        mids = np.concatenate([ts[:half], [0.0], ts[half:]])
-    else:
-        vals = _signed_log_grid(params, ts)
-        mids = ts
-    diffs = np.diff(vals)
-    cuts = np.full(diffs.shape, tol)
-    return _aggregate(0.5 * (mids[:-1] + mids[1:]), diffs, cuts)
+    grid = grid or _DEFAULT_GRID
+    grid.points(interval)  # rejects (-inf,0) on a grid without negative t
+    return _monotonicity_scan(params, grid, tol)[interval]
+
+
+def _klog_scan(
+    params: HParams, k: int, grid: GridSpec, margin: float, intervals: tuple[Interval, ...]
+) -> dict[Interval, OracleVerdict]:
+    """Order-k sign scans of the given intervals from one FD call over the
+    kept whole-line points, split at the origin."""
+    ts = grid.points(Interval.WHOLE_LINE)
+    steps = _default_step(ts, k)
+    keep = np.abs(ts) > 10.0 * steps
+    ts, steps = ts[keep], steps[keep]
+    est, err = numeric_log_derivative(params, ts, k, steps)
+    cuts = margin + err
+    n_neg = int(np.count_nonzero(ts < 0.0))
+    parts = {
+        Interval.POSITIVE_HALF_LINE: slice(n_neg, None),
+        Interval.NEGATIVE_HALF_LINE: slice(0, n_neg),
+        Interval.WHOLE_LINE: slice(None),
+    }
+    return {iv: _aggregate(ts[s], est[s], cuts[s]) for iv, s in parts.items() if iv in intervals}
 
 
 def grid_klog_sign_check(
@@ -238,13 +279,9 @@ def grid_klog_sign_check(
     """
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
-    grid = grid or GridSpec()
-    ts = grid.points(interval)
-    steps = _default_step(ts, k)
-    keep = np.abs(ts) > 10.0 * steps
-    ts, steps = ts[keep], steps[keep]
-    est, err = numeric_log_derivative(params, ts, k, steps)
-    return _aggregate(ts, est, margin + err)
+    grid = grid or _DEFAULT_GRID
+    grid.points(interval)  # rejects (-inf,0) on a grid without negative t
+    return _klog_scan(params, k, grid, margin, (interval,))[interval]
 
 
 def four_log_sign_change_search(
@@ -269,7 +306,7 @@ def four_log_sign_change_search(
         raise ValueError("log-affine parameters: order-4 log-derivative is identically 0")
     if grid is None:
         # crossings can sit outside the default window; widen before giving up
-        hit = four_log_sign_change_search(params, interval, GridSpec(), width)
+        hit = four_log_sign_change_search(params, interval, _DEFAULT_GRID, width)
         return hit if hit is not None else four_log_sign_change_search(
             params, interval, _RETRY_GRID, width
         )
@@ -361,9 +398,10 @@ def _check_one(params: HParams, grid: GridSpec) -> tuple[str, dict | None]:
     report = classify_H(params)
     skip = bool(report.zero_band_hits)
 
+    scans = _monotonicity_scan(params, grid)
     for interval in Interval:
         claimed = report.monotonicity[interval].direction
-        oracle = grid_monotonicity_check(params, interval, grid)
+        oracle = scans[interval]
         tag = f"monotonicity {interval.value}"
         if claimed is Direction.INCREASING and oracle.falls:
             return "contradiction", _contradiction(params, tag, claimed.value, oracle)
@@ -387,8 +425,9 @@ def _check_one(params: HParams, grid: GridSpec) -> tuple[str, dict | None]:
 
     third = report.third_order.kind
     if third is not ThirdOrderKind.NOT_COVERED:
-        pos = grid_klog_sign_check(params, Interval.POSITIVE_HALF_LINE, 3, grid)
-        neg = grid_klog_sign_check(params, Interval.NEGATIVE_HALF_LINE, 3, grid)
+        halves = (Interval.POSITIVE_HALF_LINE, Interval.NEGATIVE_HALF_LINE)
+        scans = _klog_scan(params, 3, grid, SIGN_MARGIN, halves)
+        pos, neg = scans[Interval.POSITIVE_HALF_LINE], scans[Interval.NEGATIVE_HALF_LINE]
         convex_pos = third is ThirdOrderKind.CONVEX_POS_CONCAVE_NEG
         bad_pos = pos.falls if convex_pos else pos.rises
         bad_neg = neg.rises if convex_pos else neg.falls
@@ -415,7 +454,7 @@ def cross_validate(
     if draws < 1:
         raise ValueError("draws must be >= 1")
     rng = np.random.default_rng(seed)
-    grid = grid or GridSpec()
+    grid = grid or _DEFAULT_GRID
     report = CrossValidationReport()
     for _ in range(draws):
         params = _draw_params(rng)

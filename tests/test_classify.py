@@ -23,6 +23,7 @@ from expratio import (
     compute_invariants,
     decision_table,
 )
+from expratio.classify import zero_band_width
 
 from conftest import random_hparams
 
@@ -163,6 +164,56 @@ class TestMonotonicity:
             r1 = classify_H(p)
             r2 = classify_H(p)
             assert r1 == r2
+
+
+class TestZeroBandAtHugeScale:
+    # the band is ZERO_BAND_EPS * scale^2 on the invariants, which overflows
+    # once scale = max(1, |alpha|, |beta|, |lam|, |mu|) passes about 1.3e160
+
+    @pytest.mark.parametrize("scale", [1e154, 1e200, 1.7e308])
+    def test_width_finite(self, scale):
+        assert math.isfinite(zero_band_width(HParams(scale, 0, 1, 2)))
+
+    def test_overflowed_invariants_keep_their_sign(self):
+        # A, C and D overflow to +inf but lie far outside the band, so they
+        # count as positive: lambda < mu with A, D >= 0 is decreasing on
+        # (0,inf).  B = -2e200 is inside it, since |B| / scale^2 = 2e-200.
+        report = classify_H(HParams(1e200, 0, 1, 2))
+        assert report.invariants.A == math.inf and report.invariants.D == math.inf
+        assert report.monotonicity[Interval.POSITIVE_HALF_LINE].direction is Direction.DECREASING
+        assert report.zero_band_hits == ("B",)
+
+    def test_overflowed_rounding_residual_in_band(self):
+        # lambda = alpha makes C = 0 exactly; its rounding residual times
+        # alpha - beta overflows to -inf, yet it is far inside the band
+        p = HParams(2.7769860097642506e199, -1.3785680424792144e200,
+                    2.7769860097642506e199, -5.904246507593008e200)
+        assert compute_invariants(p).C == -math.inf
+        assert "C" in classify_H(p).zero_band_hits
+
+    def test_hits_match_unscaled_band(self, rng):
+        # below the overflow, dividing the parameters by a power of two only
+        # shifts exponents, so the hits are those of the unscaled band; the
+        # draws sit on A = 0, C = 0 or E = 0 at scales up to 1e150
+        tested = {True: "ACE", False: "ADB"}
+        for scale in (1e-3, 1.0, 7.0, 1e6, 1e150):
+            for _ in range(100):
+                a, b, l, m = rng.uniform(-5.0, 5.0, size=4) * scale
+                family = rng.integers(3)
+                if family == 0:
+                    m = a + b - l
+                elif family == 1:
+                    l = max(a, b)
+                else:
+                    m = min(a, b)
+                if min(abs(a - b), abs(l - m)) < 0.05 * scale:
+                    continue
+                p = HParams(a, b, l, m)
+                width = 1e-12 * max(1.0, abs(a), abs(b), abs(l), abs(m)) ** 2
+                inv = compute_invariants(p).as_dict()
+                want = tuple(n for n in tested[l > m] if abs(inv[n]) < width)
+                got = tuple(h for h in classify_H(p).zero_band_hits if h != "ratio")
+                assert got == want, p
 
 
 class TestConvexity:

@@ -215,6 +215,44 @@ class TestClassify:
         assert code == 2
 
 
+class TestNegativeExponentNumbers:
+    # argparse before Python 3.13 takes "-1e-3" for an option flag; each
+    # spelling must give the output of its plain decimal form
+    @pytest.mark.parametrize(
+        "exp_form, plain",
+        [("-1e-3", "-0.001"), ("-2E+1", "-20"), ("-.5e3", "-500"), ("-1.5e0", "-1.5")],
+    )
+    def test_positional_param(self, capsys, exp_form, plain):
+        _, want, _ = run_cli(capsys, "classify", "H", plain, "0", "1", "0", "--format", "json")
+        code, out, err = run_cli(
+            capsys, "classify", "H", exp_form, "0", "1", "0", "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        assert out == want
+
+    @pytest.mark.parametrize(
+        "exp_form, plain", [("-1e-3", "-0.001"), ("-2E+1", "-20"), ("-.5e3", "-500")]
+    )
+    def test_option_value(self, capsys, exp_form, plain):
+        _, want, _ = run_cli(capsys, "eval", "H", "1", "0", "2", "0", "--t", plain)
+        code, out, err = run_cli(capsys, "eval", "H", "1", "0", "2", "0", "--t", exp_form)
+        assert (code, err) == (0, "")
+        assert out == want
+
+    def test_range_values(self, capsys):
+        argv = ("eval", "Q", "0", "0.5", "--range")
+        _, want, _ = run_cli(capsys, *argv, "-20", "-0.5", "4", "--format", "csv")
+        code, out, _ = run_cli(capsys, *argv, "-2E+1", "-.5e0", "4", "--format", "csv")
+        assert code == 0
+        assert out == want
+
+    def test_unknown_option_still_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "H", "-e3", "0", "1", "0"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+
 class TestVerify:
     def test_small_sweep(self, capsys):
         code, out, _ = run_cli(

@@ -14,7 +14,17 @@ from expratio import (
     log_deriv_H,
     numeric_log_derivative,
 )
-from expratio.oracle import _check_one
+from expratio.oracle import (
+    _RETRY_GRID,
+    DEFAULT_STEPS,
+    MONO_TOL,
+    SIGN_MARGIN,
+    _aggregate,
+    _check_one,
+    _klog_scan,
+    _monotonicity_scan,
+    kernels,
+)
 from expratio.params import ParameterError
 
 from conftest import mp_log_deriv_H, random_hparams
@@ -43,6 +53,20 @@ class TestGridSpec:
         g = GridSpec(include_negative=False)
         with pytest.raises(ValueError):
             g.points(Interval.NEGATIVE_HALF_LINE)
+        p = HParams(1, 0, 2, 0)
+        with pytest.raises(ValueError):
+            grid_monotonicity_check(p, Interval.NEGATIVE_HALF_LINE, g)
+        with pytest.raises(ValueError):
+            grid_klog_sign_check(p, Interval.NEGATIVE_HALF_LINE, 2, g)
+
+    @pytest.mark.parametrize("interval", list(Interval))
+    def test_points_built_once_read_only(self, interval):
+        g = GridSpec()
+        pts = g.points(interval)
+        assert g.points(interval) is pts
+        assert not pts.flags.writeable
+        with pytest.raises(ValueError):
+            pts[0] = 1.0
 
 
 class TestNumericLogDerivative:
@@ -233,3 +257,75 @@ def test_boundary_families_clean(family):
     draws = _family_draws(family, 300, seed=5)
     bad = [p for p in draws if _check_one(p, grid)[0] == "contradiction"]
     assert bad == [], f"{len(bad)}/300 contradictions, first {bad[0].as_tuple()}"
+
+
+# ---------------------------------------------------------------------------
+# fused scans against scans of one interval alone
+
+_SCAN_GRIDS = {
+    "default": GridSpec(),
+    "retry": _RETRY_GRID,
+    "custom37": GridSpec(t_min=0.02, t_max=3.0, points_per_side=37),
+}
+
+
+def _reference_points(grid: GridSpec, interval: Interval) -> np.ndarray:
+    pos = np.geomspace(grid.t_min, grid.t_max, grid.points_per_side)
+    neg = -pos[::-1]
+    if interval is Interval.POSITIVE_HALF_LINE:
+        return pos
+    if interval is Interval.NEGATIVE_HALF_LINE:
+        return neg
+    return np.concatenate([neg, pos])
+
+
+def _reference_monotonicity(p: HParams, interval: Interval, grid: GridSpec):
+    """One kernel call per half line, on that interval's points only."""
+    a, b, l, m = p.as_tuple()
+    sgn = 1.0 if (a - b) * (l - m) > 0 else -1.0
+    if interval is Interval.WHOLE_LINE:
+        neg = _reference_points(grid, Interval.NEGATIVE_HALF_LINE)
+        pos = _reference_points(grid, Interval.POSITIVE_HALF_LINE)
+        origin = sgn * math.log(abs((a - b) / (l - m)))
+        vals = np.concatenate([
+            sgn * kernels.log_abs_h(a, b, l, m, neg), [origin],
+            sgn * kernels.log_abs_h(a, b, l, m, pos),
+        ])
+        knots = np.concatenate([neg, [0.0], pos])
+    else:
+        knots = _reference_points(grid, interval)
+        vals = sgn * kernels.log_abs_h(a, b, l, m, knots)
+    diffs = np.diff(vals)
+    return _aggregate(0.5 * (knots[:-1] + knots[1:]), diffs, np.full(diffs.shape, MONO_TOL))
+
+
+def _reference_klog(p: HParams, interval: Interval, k: int, grid: GridSpec):
+    ts = _reference_points(grid, interval)
+    steps = DEFAULT_STEPS[k] * np.maximum(1.0, np.abs(ts))
+    keep = np.abs(ts) > 10.0 * steps
+    est, err = numeric_log_derivative(p, ts[keep], k, steps[keep])
+    return _aggregate(ts[keep], est, SIGN_MARGIN + err)
+
+
+def _scan_draws() -> list[HParams]:
+    draws = random_hparams(np.random.default_rng(11), 50)
+    for family in ("A0", "C0", "E0", "ratio1"):
+        draws += _family_draws(family, 3, seed=6)
+    return draws
+
+
+@pytest.mark.parametrize("grid_name", sorted(_SCAN_GRIDS))
+def test_fused_scans_match_single_interval_scans(grid_name):
+    grid = _SCAN_GRIDS[grid_name]
+    for p in _scan_draws():
+        mono = _monotonicity_scan(p, grid)
+        for interval in Interval:
+            want = _reference_monotonicity(p, interval, grid)
+            assert mono[interval] == want, (p, interval)
+            assert grid_monotonicity_check(p, interval, grid) == want, (p, interval)
+        for k in (2, 3):
+            klog = _klog_scan(p, k, grid, SIGN_MARGIN, tuple(Interval))
+            for interval in Interval:
+                want = _reference_klog(p, interval, k, grid)
+                assert klog[interval] == want, (p, interval, k)
+                assert grid_klog_sign_check(p, interval, k, grid) == want, (p, interval, k)
