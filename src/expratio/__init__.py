@@ -9,7 +9,8 @@ ratio P (positive bases), the two-exponent form Q, and the building blocks
 G and F.  The package evaluates them without overflow or cancellation,
 classifies monotonicity / log-convexity / third-order log behavior from
 closed-form sign conditions, and cross-validates the classifications against
-a finite-difference numerical oracle.
+a numerical oracle that scans the signs of the exact log-derivatives of H's
+definition.
 """
 
 from ._backend import backend_name

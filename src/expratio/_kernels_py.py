@@ -1,10 +1,15 @@
-"""Pure-python (NumPy) kernel twin.
+"""Pure-python (NumPy) kernels.
 
-Same contract as the compiled module ``expratio._kernels``:
+Shared contract with the compiled module ``expratio._kernels``:
 
     log_abs_h(alpha, beta, lam, mu, t)          -> ln|H(t)| array
     eval_h(alpha, beta, lam, mu, t)             -> H(t) array, saturating
     fd_log_deriv(alpha, beta, lam, mu, t, order, step) -> (estimate, error)
+
+NumPy only, called as ``_kernels_py.log_deriv_h`` / ``log_derivs_h``:
+
+    log_deriv_h(alpha, beta, lam, mu, t, order)   -> (value, bound)
+    log_derivs_h(alpha, beta, lam, mu, t, orders) -> {order: (value, bound)}
 
 The evaluators never form e^{alpha t} directly.  Everything is built from
 the factorization
@@ -16,6 +21,18 @@ with d = alpha - beta, choosing per term whichever right-hand side keeps the
 non-affine remainder small (|d t| <= 1: sinh form, else the log1p form).
 That keeps ln|H| accurate through the removable singularity at t = 0 and
 free of overflow for |t| in the thousands.
+
+The exact log-derivatives use the same split.  With
+phi(x) = ln((e^x - 1)/x) = x/2 + e(x), e(x) = ln(sinh(x/2)/(x/2)) even,
+
+    (ln|H|)^(k)(t) = d1^k phi^(k)(d1 t) - d2^k phi^(k)(d2 t)   [+ beta - mu, k = 1]
+                   = sgn(t)^k (|d1|^k e^(k)(|d1 t|) - |d2|^k e^(k)(|d2 t|))
+                     [+ (alpha + beta - lam - mu)/2, k = 1]
+
+since e^(k) has the parity of k.  e^(k)(u) comes from its Bernoulli series
+for u <= 1 and from closed forms in q = e^{-u} beyond, so the value is
+regular at t = 0, odd orders vanish there exactly, and |d1| = |d2| (ratio
++-1, log-affine) gives exactly 0 at every order >= 2.
 
 The finite-difference driver applies central stencils with one Richardson
 pass to the non-affine remainder only; affine pieces and the ln|t| carried
@@ -58,6 +75,8 @@ def _log1mexp(v):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         small = np.log(-np.expm1(-v))
         large = np.log1p(-np.exp(-v))
+    # switch at ln 2: M. Maechler, "Accurately Computing log(1 - exp(-|a|))",
+    # Rmpfr package vignette, 2012
     return np.where(v < _LN2, small, large)
 
 
@@ -100,6 +119,107 @@ def eval_h(alpha, beta, lam, mu, t):
     tiny = np.finfo(np.float64).tiny
     return np.where((np.abs(d1 * t) < tiny) | (np.abs(d2 * t) < tiny),
                     d1 / d2, out)
+
+
+# Bernoulli series of e^(k)(u) = u^(k mod 2) * sum_j c[j] u^(2j), k = 1..4,
+# from e'(u) = sum_{n>=1} B_{2n}/(2n)! u^(2n-1): row j holds c[j] for each
+# order, zero-padded; terms below 1e-20 dropped, so at |u| <= 1 the
+# truncation stays under 1e-20.
+_SERIES = np.array([
+    (0.08333333333333333, 0.08333333333333333, -0.008333333333333333, -0.008333333333333333),
+    (-0.001388888888888889, -0.004166666666666667, 0.0006613756613756613, 0.001984126984126984),
+    (3.306878306878307e-05, 0.00016534391534391533, -3.472222222222222e-05, -0.00017361111111111112),
+    (-8.267195767195768e-07, -5.787037037037037e-06, 1.503126503126503e-06, 1.0521885521885522e-05),
+    (2.08767569878681e-08, 1.8789081289081288e-07, -5.8126091525562424e-08, -5.231348237300619e-07),
+    (-5.284190138687493e-10, -5.812609152556243e-09, 2.08767569878681e-09, 2.296443268665491e-08),
+    (1.3382536530684679e-11, 1.7397297489890083e-10, -7.118328622277424e-11, -9.253827208960651e-10),
+    (-3.3896802963225827e-13, -5.084520444483875e-12, 2.3354088793075735e-12, 3.5031133189613606e-11),
+    (8.586062056277845e-15, 1.4596305495672335e-13, -7.438050949068572e-14, -1.2644686613416571e-12),
+    (-2.174868698558062e-16, -4.1322505272603176e-15, 2.3137811879112964e-15, 4.3961842570314633e-14),
+    (5.5090028283602295e-18, 1.1568905939556482e-16, -7.060959131021136e-17, -1.4828014175144388e-15),
+    (-1.3954464685812522e-19, -3.2095268777368804e-18, 2.1208242237776804e-18, 4.877895714688665e-17),
+    (0.0, 8.836767599073669e-20, -6.285369233780357e-20, -1.5713423084450894e-18),
+    (0.0, 0.0, 0.0, 4.972258956505136e-20),
+])
+_HORNER = _SERIES[::-1]
+
+# roundoff floor of log_derivs_h: this many ulps of the magnitudes summed
+_BOUND_ULPS = 16.0 * np.finfo(np.float64).eps
+
+
+def _e_derivs(u, orders):
+    """e^(k)(u) for u >= 0, one row per order, with the magnitude sum of the
+    parts each value is formed from (the scale its rounding error has)."""
+    rows = [k - 1 for k in orders]
+    us = np.minimum(u, 1.0)
+    y = us * us
+    coef = _HORNER[:, rows, None]
+    ser = coef[0] * y + coef[1]
+    for c in coef[2:]:
+        ser *= y
+        ser += c
+    odd = [i for i, k in enumerate(orders) if k % 2]
+    if odd:
+        ser[odd] *= us
+    # u > 1: with q = e^{-u}, r = 1/(1 - q), coth(u/2) = (1 + q) r and
+    # 1/(4 sinh^2(u/2)) = q r^2 =: w, each e^(k) is a difference P - N of
+    # nonnegative parts
+    ub = np.maximum(u, 1.0)
+    q = np.exp(-ub)
+    r = 1.0 / (1.0 - q)
+    iu = 1.0 / ub
+    iu2 = iu * iu
+    w = q * r * r
+    parts = {
+        1: lambda: (r, 0.5 + iu),
+        2: lambda: (iu2, w),
+        3: lambda: ((1.0 + q) * r * w, 2.0 * iu2 * iu),
+        4: lambda: (6.0 * iu2 * iu2, w * r * r * (1.0 + q * (4.0 + q))),
+    }
+    pos, neg = zip(*(parts[k]() for k in orders))
+    pos, neg = np.array(pos), np.array(neg)
+    small = u <= 1.0
+    return np.where(small, ser, pos - neg), np.where(small, np.abs(ser), pos + neg)
+
+
+def log_derivs_h(alpha, beta, lam, mu, t, orders):
+    """Exact derivatives of ln|H| at t for several orders (each in 1..4),
+    sharing the transcendental terms.
+
+    Returns {order: (value, bound)}, arrays shaped like t.  bound is a
+    roundoff floor, a few ulps of the magnitudes the value is formed from
+    (for order 1 including (|alpha| + |beta| + |lam| + |mu|)/2), not an
+    error estimate of any discretization: the value has none.
+    """
+    if not orders or any(k not in (1, 2, 3, 4) for k in orders):
+        raise ValueError(f"orders must be in 1..4, got {orders}")
+    t = np.asarray(t, dtype=np.float64)
+    ts = t.ravel()
+    n = ts.size
+    d = np.array([abs(alpha - beta), abs(lam - mu)])
+    vals, mags = _e_derivs(np.multiply.outer(d, np.abs(ts)).ravel(), orders)
+    scale = (d ** np.array(orders, dtype=np.float64)[:, None])[..., None]
+    vals = vals.reshape(len(orders), 2, n) * scale
+    mags = mags.reshape(len(orders), 2, n) * scale
+    diffs = vals[:, 0] - vals[:, 1]
+    sizes = mags[:, 0] + mags[:, 1]
+    sgn = np.sign(ts)
+    out = {}
+    for row, k in enumerate(orders):
+        value, size = diffs[row], sizes[row]
+        if k % 2:
+            value = sgn * value
+        if k == 1:
+            value = value + 0.5 * ((alpha + beta) - (lam + mu))
+            size = size + 0.5 * (abs(alpha) + abs(beta) + abs(lam) + abs(mu))
+        out[k] = (value.reshape(t.shape), (_BOUND_ULPS * size).reshape(t.shape))
+    return out
+
+
+def log_deriv_h(alpha, beta, lam, mu, t, order):
+    """Exact order-th derivative of ln|H| at t (order 1..4), regular at
+    t = 0; returns (value, bound) as log_derivs_h."""
+    return log_derivs_h(alpha, beta, lam, mu, t, (order,))[order]
 
 
 def _bounded_part(d1, d2, sigma1, sigma2, tj):

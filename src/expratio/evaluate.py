@@ -4,19 +4,12 @@ Every evaluator works on arrays of t: H, Q and P through the kernel backend
 (compiled if available), G and F on the log-domain helpers of the NumPy
 kernel.  The scalar entry points are one-point calls of the grid
 evaluators, so scalar and grid values agree point for point.  The
-log-derivative closed forms are built on the auxiliary function
+log-derivatives of ln|H| come from the NumPy kernel's exact form
 
-    psi(x) = 1/(1 - e^{-x}) - 1/x
+    (ln|H|)^(k)(t) = d1^k phi^(k)(d1 t) - d2^k phi^(k)(d2 t)   [+ beta - mu, k = 1]
 
-whose derivatives carry all the non-affine structure of ln|H|:
-
-    (ln|H|)'   = (beta - mu) + d1*psi(d1 t) - d2*psi(d2 t)
-    (ln|H|)''  = d1^2 psi'(d1 t) - d2^2 psi'(d2 t)
-    (ln|H|)''' = d1^3 psi''(d1 t) - d2^3 psi''(d2 t)
-
-with d1 = alpha - beta, d2 = lambda - mu.  The 1/t poles of the individual
-terms cancel between numerator and denominator, so these formulas are
-regular at t = 0 once psi is evaluated by series near the origin.
+with phi(x) = ln((e^x - 1)/x), d1 = alpha - beta, d2 = lambda - mu
+(``_kernels_py.log_deriv_h``), regular at t = 0.
 """
 
 from __future__ import annotations
@@ -162,65 +155,18 @@ def eval_H_signed_log(params: HParams, t: float) -> SignedLogValue:
 # ---------------------------------------------------------------------------
 # closed-form logarithmic derivatives
 
-def _psi(x: float) -> float:
-    """1/(1 - e^{-x}) - 1/x, extended by 1/2 at x = 0."""
-    ax = abs(x)
-    if ax <= 0.5:
-        x2 = x * x
-        return 0.5 + x * (
-            1.0 / 12.0
-            + x2 * (-1.0 / 720.0 + x2 * (1.0 / 30240.0 + x2 * (-1.0 / 1209600.0 + x2 / 47900160.0)))
-        )
-    if ax <= 700.0:
-        return 1.0 / (-math.expm1(-x)) - 1.0 / x
-    return (1.0 if x > 0.0 else 0.0) - 1.0 / x
-
-
-def _psi_d1(x: float) -> float:
-    """First derivative of _psi: 1/x^2 - 1/(4 sinh^2(x/2))."""
-    ax = abs(x)
-    if ax <= 0.5:
-        x2 = x * x
-        return 1.0 / 12.0 + x2 * (
-            -1.0 / 240.0 + x2 * (1.0 / 6048.0 + x2 * (-1.0 / 172800.0 + x2 / 5322240.0))
-        )
-    if ax <= 40.0:
-        s = math.sinh(0.5 * x)
-        return 1.0 / (x * x) - 1.0 / (4.0 * s * s)
-    return 1.0 / (x * x)
-
-
-def _psi_d2(x: float) -> float:
-    """Second derivative of _psi: -2/x^3 + cosh(x/2)/(4 sinh^3(x/2))."""
-    ax = abs(x)
-    if ax <= 0.5:
-        x2 = x * x
-        return x * (
-            -1.0 / 120.0 + x2 * (1.0 / 1512.0 + x2 * (-1.0 / 28800.0 + x2 / 665280.0))
-        )
-    if ax <= 40.0:
-        s = math.sinh(0.5 * x)
-        return -2.0 / (x * x * x) + math.cosh(0.5 * x) / (4.0 * s * s * s)
-    return -2.0 / (x * x * x)
-
-
 def log_deriv_H(params: HParams, t: float, order: int) -> float:
-    """order-th derivative of ln|H| at t, in closed form.
+    """order-th derivative of ln|H| at t (order 1..4), in closed form.
 
     Regular at t = 0 (the individual 1/t^k poles cancel); at t = 0 the
-    values are (alpha+beta-lambda-mu)/2, (d1^2 - d2^2)/12 and 0 for orders
-    1, 2, 3.
+    values are (alpha+beta-lambda-mu)/2, (d1^2 - d2^2)/12, 0 and
+    -(d1^4 - d2^4)/120 for orders 1 to 4.
     """
-    if order not in (1, 2, 3):
-        raise ParameterError(f"log_deriv_H: order must be 1, 2 or 3, got {order}")
+    if order not in (1, 2, 3, 4):
+        raise ParameterError(f"log_deriv_H: order must be 1, 2, 3 or 4, got {order}")
     t = _check_t(t)
-    d1 = params.alpha - params.beta
-    d2 = params.lam - params.mu
-    if order == 1:
-        return (params.beta - params.mu) + d1 * _psi(d1 * t) - d2 * _psi(d2 * t)
-    if order == 2:
-        return d1 * d1 * _psi_d1(d1 * t) - d2 * d2 * _psi_d1(d2 * t)
-    return d1 ** 3 * _psi_d2(d1 * t) - d2 ** 3 * _psi_d2(d2 * t)
+    value, _ = _kernels_py.log_deriv_h(params.alpha, params.beta, params.lam, params.mu, t, order)
+    return float(value)
 
 
 def reduce_H_to_Q(params: HParams) -> QReduction:

@@ -1,16 +1,21 @@
 """Independent numerical oracle for cross-checking the sign-condition classifier.
 
-Everything here works from function evaluations only: central finite
-differences of the log of the ratio, grid scans for rise/fall witnesses, and
-a bisection search for the sign change of the fourth log-derivative.  None of
-it consults the closed-form invariants, so agreement between this module and
-``classify`` is evidence, not tautology.
+Everything here differentiates H's definition: grid scans of the exact
+log-derivatives of ln|H| for rise/fall and sign witnesses, and a bisection
+search for the sign change of the fourth log-derivative.  None of it
+consults the closed-form invariants or the ratio rule, so agreement between
+this module and ``classify`` is evidence, not tautology.
 
-The finite differences run through the kernel's noise-controlled scheme
-(``fd_log_deriv``): the exactly-known affine and ln|t| pieces of each log
-term are differentiated analytically and only the bounded remainder is
-stencilled, so the rounding floor tracks the local derivative scale instead
-of the possibly huge magnitude of log H itself.
+The scans read ``_kernels_py.log_derivs_h``, which writes the k-th
+log-derivative as d1^k phi^(k)(d1 t) - d2^k phi^(k)(d2 t) (+ beta - mu for
+k = 1) with phi(x) = ln((e^x - 1)/x): exact up to rounding, regular at
+t = 0, and returned with its roundoff floor.  A probe counts as a witness
+only beyond SIGN_MARGIN plus that floor.
+
+``numeric_log_derivative`` stays as the independent finite-difference check
+of those values: central differences through the kernel's noise-controlled
+scheme (``fd_log_deriv``), which differentiates the affine and ln|t| pieces
+of each log term analytically and stencils only the bounded remainder.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _kernels_py
 from ._backend import kernels
 from .params import HParams
 from .classify import (
@@ -53,20 +59,22 @@ DEFAULT_STEPS = {1: 1e-4, 2: 1e-4, 3: 4e-3, 4: 1e-2}
 
 SIGN_MARGIN = 1e-8
 
-# absolute slack on consecutive differences of ln|H| in grid scans
-MONO_TOL = 1e-11
+# below t_min the monotonicity scans also probe one t per decade from
+# 10^_DECADE_FLOOR_EXP up, on each side, and t = 0: turning points close to
+# the origin sit there when an invariant is near 0
+_DECADE_FLOOR_EXP = -8
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Log-spaced probe grid: magnitudes in [t_min, t_max], mirrored to t<0
-    when include_negative is set.  Each instance builds its points once and
-    hands out the same read-only arrays on every call."""
+    """Log-spaced probe grid: magnitudes in [t_min, t_max], mirrored to t<0.
+    Each instance builds its points (and the scans' probes, which add t = 0
+    and the decades below t_min for monotonicity) once and hands out the
+    same read-only arrays on every call."""
 
     t_min: float = 1e-3
     t_max: float = 10.0
     points_per_side: int = 200
-    include_negative: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.t_min < self.t_max):
@@ -87,14 +95,35 @@ class GridSpec:
             arr.flags.writeable = False
         return pts
 
+    @cached_property
+    def _probes(self) -> tuple[np.ndarray, dict, dict]:
+        """Scan points, and each interval's selection of them for order 1
+        (the decades below t_min and the grid on each side, with t = 0 on
+        the whole line) and for higher orders (the grid alone)."""
+        decades = 10.0 ** np.arange(_DECADE_FLOOR_EXP, math.ceil(math.log10(self.t_min)))
+        mags = np.concatenate([decades, self.side(True)])
+        ts = np.concatenate([-mags[::-1], [0.0], mags])
+        ts.flags.writeable = False
+        n, n_dec = len(mags), len(decades)
+        first_order = {
+            Interval.POSITIVE_HALF_LINE: slice(n + 1, None),
+            Interval.NEGATIVE_HALF_LINE: slice(0, n),
+            Interval.WHOLE_LINE: slice(None),
+        }
+        neg, pos = slice(0, n - n_dec), slice(n + 1 + n_dec, 2 * n + 1)
+        higher_order = {
+            Interval.POSITIVE_HALF_LINE: pos,
+            Interval.NEGATIVE_HALF_LINE: neg,
+            Interval.WHOLE_LINE: np.r_[neg, pos],
+        }
+        return ts, first_order, higher_order
+
     def side(self, positive: bool) -> np.ndarray:
         return self._points[
             Interval.POSITIVE_HALF_LINE if positive else Interval.NEGATIVE_HALF_LINE
         ]
 
     def points(self, interval: Interval) -> np.ndarray:
-        if interval is Interval.NEGATIVE_HALF_LINE and not self.include_negative:
-            raise ValueError("grid excludes negative t")
         return self._points[interval]
 
 
@@ -109,8 +138,8 @@ class OracleVerdict:
     negative), "both" (confident witnesses of each sign), "flat" (anything
     else).  rise_count/fall_count are the confident witness tallies;
     max_violation is the largest confident probe opposing the majority sign
-    (0.0 when unopposed); witness_points holds up to 4 t-values: strongest
-    rise, strongest fall.
+    (0.0 when unopposed); witness_points holds the t-values of the strongest
+    rise and the strongest fall, where present.
     """
 
     direction: str
@@ -128,28 +157,39 @@ class OracleVerdict:
         return self.fall_count > 0
 
 
-def _aggregate(ts: np.ndarray, probes: np.ndarray, cuts: np.ndarray) -> OracleVerdict:
-    """Classify a vector of signed probes against per-point noise cuts."""
+def _verdicts(
+    ts: np.ndarray, probes: np.ndarray, cuts: np.ndarray, parts: dict
+) -> dict:
+    """Classify signed probes against per-point noise cuts, once per
+    selection in parts ({key: slice or index array})."""
     up = probes > cuts
     dn = probes < -cuts
-    n_up = int(np.count_nonzero(up))
-    n_dn = int(np.count_nonzero(dn))
-    witnesses: list[float] = []
-    if n_up:
-        witnesses.append(float(ts[np.argmax(np.where(up, probes, -np.inf))]))
-    if n_dn:
-        witnesses.append(float(ts[np.argmin(np.where(dn, probes, np.inf))]))
-    if n_up and n_dn:
-        direction = "both"
-        max_violation = float(min(np.max(probes[up]), -np.min(probes[dn])))
-    elif n_up == len(probes):
-        direction, max_violation = "rises", 0.0
-    elif n_dn == len(probes):
-        direction, max_violation = "falls", 0.0
-    else:
-        direction = "flat"
-        max_violation = 0.0
-    return OracleVerdict(direction, n_up, n_dn, max_violation, tuple(witnesses[:4]))
+    rise = np.where(up, probes, -np.inf)
+    fall = np.where(dn, probes, np.inf)
+    out = {}
+    for key, s in parts.items():
+        n = len(ts[s])
+        n_up = int(np.count_nonzero(up[s]))
+        n_dn = int(np.count_nonzero(dn[s]))
+        witnesses: list[float] = []
+        if n_up:
+            top = int(np.argmax(rise[s]))
+            witnesses.append(float(ts[s][top]))
+        if n_dn:
+            bottom = int(np.argmin(fall[s]))
+            witnesses.append(float(ts[s][bottom]))
+        if n_up and n_dn:
+            direction = "both"
+            max_violation = float(min(rise[s][top], -fall[s][bottom]))
+        elif n_up == n:
+            direction, max_violation = "rises", 0.0
+        elif n_dn == n:
+            direction, max_violation = "falls", 0.0
+        else:
+            direction = "flat"
+            max_violation = 0.0
+        out[key] = OracleVerdict(direction, n_up, n_dn, max_violation, tuple(witnesses))
+    return out
 
 
 def _default_step(t, order: int):
@@ -200,68 +240,40 @@ def numeric_log_derivative(
     return est, err
 
 
-def _monotonicity_scan(
-    params: HParams, grid: GridSpec, tol: float = MONO_TOL
-) -> dict[Interval, OracleVerdict]:
-    """Rise/fall scans of all three intervals from one kernel call.
+def _scan(
+    params: HParams,
+    grid: GridSpec,
+    wanted: dict[int, tuple[Interval, ...]],
+    margin: float = SIGN_MARGIN,
+) -> dict[int, dict[Interval, OracleVerdict]]:
+    """Sign scans of the order-k log-derivatives over the grid's probes, for
+    the intervals wanted[k], from one kernel pass for all orders.
 
-    sign(H) * ln|H| is monotone in t exactly when H is, because sign(H) =
-    sign((alpha-beta)(lam-mu)) is constant in t.  It is evaluated once on
-    the whole-line grid with the continuity value inserted at the origin;
-    each half line aggregates its own slice of the consecutive differences,
-    which are elementwise those of a scan of that half line alone.
+    Order 1 is scanned as sign(H) * (ln|H|)', the derivative of
+    sign(H) * ln|H|, which is monotone in t exactly when H is, because
+    sign(H) = sign((alpha-beta)(lam-mu)) is constant in t; it also reads
+    t = 0 (whole line) and the decades below the grid.  A probe is a
+    witness beyond margin plus the kernel's roundoff floor.
     """
-    ts = grid.points(Interval.WHOLE_LINE)
-    half = len(ts) // 2
+    ts, first_order, higher_order = grid._probes
     a, b, l, m = params.as_tuple()
-    sgn = 1.0 if (a - b) * (l - m) > 0 else -1.0
-    logs = kernels.log_abs_h(a, b, l, m, ts)
-    vals = sgn * np.concatenate([logs[:half], [math.log(abs((a - b) / (l - m)))], logs[half:]])
-    knots = np.concatenate([ts[:half], [0.0], ts[half:]])
-    diffs = np.diff(vals)
-    mids = 0.5 * (knots[:-1] + knots[1:])
-    cuts = np.full(diffs.shape, tol)
-    # the two differences that touch the origin belong to the whole line only
-    parts = {
-        Interval.POSITIVE_HALF_LINE: slice(half + 1, None),
-        Interval.NEGATIVE_HALF_LINE: slice(0, half - 1),
-        Interval.WHOLE_LINE: slice(None),
-    }
-    return {iv: _aggregate(mids[s], diffs[s], cuts[s]) for iv, s in parts.items()}
+    derivs = _kernels_py.log_derivs_h(a, b, l, m, ts, tuple(wanted))
+    out = {}
+    for k, intervals in wanted.items():
+        value, bound = derivs[k]
+        if k == 1 and (a - b) * (l - m) < 0:
+            value = -value
+        parts = first_order if k == 1 else higher_order
+        out[k] = _verdicts(ts, value, margin + bound, {iv: parts[iv] for iv in intervals})
+    return out
 
 
 def grid_monotonicity_check(
-    params: HParams, interval: Interval, grid: GridSpec | None = None, tol: float = MONO_TOL
+    params: HParams, interval: Interval, grid: GridSpec | None = None
 ) -> OracleVerdict:
-    """Scan for rise/fall witnesses of H on the interval.
-
-    ``tol`` is the absolute slack on consecutive differences of the signed
-    log of H (equivalent to relative slack on H itself); moves inside it are
-    treated as flat.
-    """
-    grid = grid or _DEFAULT_GRID
-    grid.points(interval)  # rejects (-inf,0) on a grid without negative t
-    return _monotonicity_scan(params, grid, tol)[interval]
-
-
-def _klog_scan(
-    params: HParams, k: int, grid: GridSpec, margin: float, intervals: tuple[Interval, ...]
-) -> dict[Interval, OracleVerdict]:
-    """Order-k sign scans of the given intervals from one FD call over the
-    kept whole-line points, split at the origin."""
-    ts = grid.points(Interval.WHOLE_LINE)
-    steps = _default_step(ts, k)
-    keep = np.abs(ts) > 10.0 * steps
-    ts, steps = ts[keep], steps[keep]
-    est, err = numeric_log_derivative(params, ts, k, steps)
-    cuts = margin + err
-    n_neg = int(np.count_nonzero(ts < 0.0))
-    parts = {
-        Interval.POSITIVE_HALF_LINE: slice(n_neg, None),
-        Interval.NEGATIVE_HALF_LINE: slice(0, n_neg),
-        Interval.WHOLE_LINE: slice(None),
-    }
-    return {iv: _aggregate(ts[s], est[s], cuts[s]) for iv, s in parts.items() if iv in intervals}
+    """Scan for rise/fall witnesses of H on the interval: the sign of
+    sign(H) * (ln|H|)' on the grid's probes."""
+    return _scan(params, grid or _DEFAULT_GRID, {1: (interval,)})[1][interval]
 
 
 def grid_klog_sign_check(
@@ -274,14 +286,12 @@ def grid_klog_sign_check(
     """Sign scan of the order-k log-derivative over the grid.
 
     "rises" means every probe is confidently positive (k-log-convex on the
-    sampled set).  Points within 10 steps of the origin are dropped; probes
-    inside margin + FD error estimate of zero count as neither sign.
+    sampled set); probes inside margin + roundoff floor of zero count as
+    neither sign.
     """
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
-    grid = grid or _DEFAULT_GRID
-    grid.points(interval)  # rejects (-inf,0) on a grid without negative t
-    return _klog_scan(params, k, grid, margin, (interval,))[interval]
+    return _scan(params, grid or _DEFAULT_GRID, {k: (interval,)}, margin)[k][interval]
 
 
 def four_log_sign_change_search(
@@ -295,7 +305,7 @@ def four_log_sign_change_search(
     Rejects parameter sets with (alpha-beta)/(lam-mu) equal to 0 or, within
     the classifier's zero band, to 1: those are log-affine, and every higher
     log-derivative vanishes identically.  Scans for adjacent grid points
-    with confident opposite FD signs, preferring the pair farthest above the
+    with confident opposite signs, preferring the pair farthest above the
     noise floor, then bisects to the requested relative bracket width.
     Returns the crossing point or None.
     """
@@ -311,11 +321,9 @@ def four_log_sign_change_search(
             params, interval, _RETRY_GRID, width
         )
     ts = grid.points(interval)
-    steps = _default_step(ts, 4)
-    keep = np.abs(ts) > _stencil_reach(4) * steps * 1.01
-    ts, steps = ts[keep], steps[keep]
-    est, err = numeric_log_derivative(params, ts, 4, steps)
-    confident = np.abs(est) > err + SIGN_MARGIN
+    a, b, l, m = params.as_tuple()
+    est, bound = _kernels_py.log_deriv_h(a, b, l, m, ts, 4)
+    confident = np.abs(est) > bound + SIGN_MARGIN
     idx = np.flatnonzero(confident)
     if idx.size < 2:
         return None
@@ -330,12 +338,12 @@ def four_log_sign_change_search(
     lo, hi = float(ts[idx[k]]), float(ts[idx[k + 1]])
     f_lo = float(vals[k])
     while abs(hi - lo) > width * max(1.0, abs(lo)):
-        m = 0.5 * (lo + hi)
-        est_m, _ = numeric_log_derivative(params, m, 4)
+        mid = 0.5 * (lo + hi)
+        est_m = float(_kernels_py.log_deriv_h(a, b, l, m, mid, 4)[0])
         if est_m * f_lo < 0.0:
-            hi = m
+            hi = mid
         else:
-            lo, f_lo = m, est_m
+            lo, f_lo = mid, est_m
     return 0.5 * (lo + hi)
 
 
@@ -397,11 +405,18 @@ def _check_one(params: HParams, grid: GridSpec) -> tuple[str, dict | None]:
     """
     report = classify_H(params)
     skip = bool(report.zero_band_hits)
+    kind = report.convexity.kind
+    third = report.third_order.kind
+    wanted = {1: tuple(Interval)}
+    if kind in (ConvexityKind.LOG_CONVEX, ConvexityKind.LOG_CONCAVE):
+        wanted[2] = (Interval.WHOLE_LINE,)
+    if third is not ThirdOrderKind.NOT_COVERED:
+        wanted[3] = (Interval.POSITIVE_HALF_LINE, Interval.NEGATIVE_HALF_LINE)
+    scans = _scan(params, grid, wanted)
 
-    scans = _monotonicity_scan(params, grid)
     for interval in Interval:
         claimed = report.monotonicity[interval].direction
-        oracle = scans[interval]
+        oracle = scans[1][interval]
         tag = f"monotonicity {interval.value}"
         if claimed is Direction.INCREASING and oracle.falls:
             return "contradiction", _contradiction(params, tag, claimed.value, oracle)
@@ -415,19 +430,15 @@ def _check_one(params: HParams, grid: GridSpec) -> tuple[str, dict | None]:
         elif not (oracle.rises or oracle.falls):
             skip = True  # flat at grid resolution: cannot confirm or deny
 
-    kind = report.convexity.kind
-    if kind in (ConvexityKind.LOG_CONVEX, ConvexityKind.LOG_CONCAVE):
-        oracle = grid_klog_sign_check(params, Interval.WHOLE_LINE, 2, grid)
+    if 2 in scans:
+        oracle = scans[2][Interval.WHOLE_LINE]
         if kind is ConvexityKind.LOG_CONVEX and oracle.falls:
             return "contradiction", _contradiction(params, "log-convexity", kind.value, oracle)
         if kind is ConvexityKind.LOG_CONCAVE and oracle.rises:
             return "contradiction", _contradiction(params, "log-convexity", kind.value, oracle)
 
-    third = report.third_order.kind
-    if third is not ThirdOrderKind.NOT_COVERED:
-        halves = (Interval.POSITIVE_HALF_LINE, Interval.NEGATIVE_HALF_LINE)
-        scans = _klog_scan(params, 3, grid, SIGN_MARGIN, halves)
-        pos, neg = scans[Interval.POSITIVE_HALF_LINE], scans[Interval.NEGATIVE_HALF_LINE]
+    if 3 in scans:
+        pos, neg = scans[3][Interval.POSITIVE_HALF_LINE], scans[3][Interval.NEGATIVE_HALF_LINE]
         convex_pos = third is ThirdOrderKind.CONVEX_POS_CONCAVE_NEG
         bad_pos = pos.falls if convex_pos else pos.rises
         bad_neg = neg.rises if convex_pos else neg.falls

@@ -14,16 +14,14 @@ from expratio import (
     log_deriv_H,
     numeric_log_derivative,
 )
+from expratio import _kernels_py
+from expratio.cli import main as cli_main
 from expratio.oracle import (
     _RETRY_GRID,
-    DEFAULT_STEPS,
-    MONO_TOL,
     SIGN_MARGIN,
-    _aggregate,
     _check_one,
-    _klog_scan,
-    _monotonicity_scan,
-    kernels,
+    _scan,
+    _verdicts,
 )
 from expratio.params import ParameterError
 
@@ -49,15 +47,31 @@ class TestGridSpec:
         assert np.all(np.diff(pos) > 0) and np.all(np.diff(neg) > 0)
         assert np.allclose(neg, -pos[::-1])
 
-    def test_negative_excluded(self):
-        g = GridSpec(include_negative=False)
-        with pytest.raises(ValueError):
-            g.points(Interval.NEGATIVE_HALF_LINE)
-        p = HParams(1, 0, 2, 0)
-        with pytest.raises(ValueError):
-            grid_monotonicity_check(p, Interval.NEGATIVE_HALF_LINE, g)
-        with pytest.raises(ValueError):
-            grid_klog_sign_check(p, Interval.NEGATIVE_HALF_LINE, 2, g)
+    def test_negative_always_scanned(self):
+        # no switch for t < 0: every grid covers both half lines
+        with pytest.raises(TypeError):
+            GridSpec(include_negative=False)
+        g = GridSpec(t_min=1e-2, t_max=1.0, points_per_side=10)
+        whole = g.points(Interval.WHOLE_LINE)
+        assert np.array_equal(whole, np.concatenate([g.side(False), g.side(True)]))
+        # H = 1/(1 + e^t) falls everywhere: every probe t < 0 is a witness,
+        # the 6 decades 1e-8..1e-3 below t_min included
+        v = grid_monotonicity_check(HParams(1, 0, 2, 0), Interval.NEGATIVE_HALF_LINE, g)
+        assert v.direction == "falls" and v.fall_count == 10 + 6
+
+    @pytest.mark.parametrize("t_min, decades", [(1e-3, 5), (1e-5, 3), (0.02, 7), (1e-8, 0)])
+    def test_probes(self, t_min, decades):
+        g = GridSpec(t_min=t_min, t_max=10.0, points_per_side=12)
+        ts, first, higher = g._probes
+        pos = ts[first[Interval.POSITIVE_HALF_LINE]]
+        assert np.array_equal(pos[:decades], 10.0 ** np.arange(-8, -8 + decades))
+        assert np.array_equal(pos[decades:], g.side(True))
+        assert np.array_equal(ts[first[Interval.NEGATIVE_HALF_LINE]], -pos[::-1])
+        assert np.array_equal(ts[first[Interval.WHOLE_LINE]],
+                              np.concatenate([-pos[::-1], [0.0], pos]))
+        for interval in Interval:
+            assert np.array_equal(ts[higher[interval]], g.points(interval))
+        assert g._probes[0] is ts and not ts.flags.writeable
 
     @pytest.mark.parametrize("interval", list(Interval))
     def test_points_built_once_read_only(self, interval):
@@ -269,42 +283,55 @@ _SCAN_GRIDS = {
 }
 
 
-def _reference_points(grid: GridSpec, interval: Interval) -> np.ndarray:
+def _reference_points(grid: GridSpec, interval: Interval, k: int) -> np.ndarray:
+    """The grid's probes on one interval.  Order 1 adds a t per decade from
+    1e-8 up to below t_min on each side, and t = 0 on the whole line."""
     pos = np.geomspace(grid.t_min, grid.t_max, grid.points_per_side)
+    if k == 1:
+        below = [j for j in range(-8, 0) if j < math.log10(grid.t_min)]
+        pos = np.concatenate([10.0 ** np.array(below, dtype=float), pos])
     neg = -pos[::-1]
     if interval is Interval.POSITIVE_HALF_LINE:
         return pos
     if interval is Interval.NEGATIVE_HALF_LINE:
         return neg
-    return np.concatenate([neg, pos])
+    return np.concatenate([neg, [0.0], pos] if k == 1 else [neg, pos])
 
 
-def _reference_monotonicity(p: HParams, interval: Interval, grid: GridSpec):
-    """One kernel call per half line, on that interval's points only."""
-    a, b, l, m = p.as_tuple()
-    sgn = 1.0 if (a - b) * (l - m) > 0 else -1.0
-    if interval is Interval.WHOLE_LINE:
-        neg = _reference_points(grid, Interval.NEGATIVE_HALF_LINE)
-        pos = _reference_points(grid, Interval.POSITIVE_HALF_LINE)
-        origin = sgn * math.log(abs((a - b) / (l - m)))
-        vals = np.concatenate([
-            sgn * kernels.log_abs_h(a, b, l, m, neg), [origin],
-            sgn * kernels.log_abs_h(a, b, l, m, pos),
-        ])
-        knots = np.concatenate([neg, [0.0], pos])
+def _reference_aggregate(ts, probes, cuts):
+    """Witness tallies of one probe vector, written out directly."""
+    up = probes > cuts
+    dn = probes < -cuts
+    n_up, n_dn = int(up.sum()), int(dn.sum())
+    witnesses = []
+    if n_up:
+        witnesses.append(float(ts[np.argmax(np.where(up, probes, -np.inf))]))
+    if n_dn:
+        witnesses.append(float(ts[np.argmin(np.where(dn, probes, np.inf))]))
+    if n_up and n_dn:
+        direction = "both"
+        max_violation = float(min(np.max(probes[up]), -np.min(probes[dn])))
+    elif n_up == len(probes):
+        direction, max_violation = "rises", 0.0
+    elif n_dn == len(probes):
+        direction, max_violation = "falls", 0.0
     else:
-        knots = _reference_points(grid, interval)
-        vals = sgn * kernels.log_abs_h(a, b, l, m, knots)
-    diffs = np.diff(vals)
-    return _aggregate(0.5 * (knots[:-1] + knots[1:]), diffs, np.full(diffs.shape, MONO_TOL))
+        direction, max_violation = "flat", 0.0
+    return (direction, n_up, n_dn, max_violation, tuple(witnesses))
 
 
-def _reference_klog(p: HParams, interval: Interval, k: int, grid: GridSpec):
-    ts = _reference_points(grid, interval)
-    steps = DEFAULT_STEPS[k] * np.maximum(1.0, np.abs(ts))
-    keep = np.abs(ts) > 10.0 * steps
-    est, err = numeric_log_derivative(p, ts[keep], k, steps[keep])
-    return _aggregate(ts[keep], est, SIGN_MARGIN + err)
+def _reference_scan(p: HParams, interval: Interval, k: int, grid: GridSpec):
+    """One kernel call on that interval's probes only; order 1 signed by H."""
+    a, b, l, m = p.as_tuple()
+    ts = _reference_points(grid, interval, k)
+    value, bound = _kernels_py.log_deriv_h(a, b, l, m, ts, k)
+    if k == 1:
+        value = value * (1.0 if (a - b) * (l - m) > 0 else -1.0)
+    return _reference_aggregate(ts, value, SIGN_MARGIN + bound)
+
+
+def _as_tuple(v):
+    return (v.direction, v.rise_count, v.fall_count, v.max_violation, v.witness_points)
 
 
 def _scan_draws() -> list[HParams]:
@@ -317,15 +344,50 @@ def _scan_draws() -> list[HParams]:
 @pytest.mark.parametrize("grid_name", sorted(_SCAN_GRIDS))
 def test_fused_scans_match_single_interval_scans(grid_name):
     grid = _SCAN_GRIDS[grid_name]
+    everything = {k: tuple(Interval) for k in (1, 2, 3)}
     for p in _scan_draws():
-        mono = _monotonicity_scan(p, grid)
-        for interval in Interval:
-            want = _reference_monotonicity(p, interval, grid)
-            assert mono[interval] == want, (p, interval)
-            assert grid_monotonicity_check(p, interval, grid) == want, (p, interval)
-        for k in (2, 3):
-            klog = _klog_scan(p, k, grid, SIGN_MARGIN, tuple(Interval))
+        fused = _scan(p, grid, everything)
+        for k in (1, 2, 3):
             for interval in Interval:
-                want = _reference_klog(p, interval, k, grid)
-                assert klog[interval] == want, (p, interval, k)
-                assert grid_klog_sign_check(p, interval, k, grid) == want, (p, interval, k)
+                want = _reference_scan(p, interval, k, grid)
+                assert _as_tuple(fused[k][interval]) == want, (p, interval, k)
+                # a pass for fewer orders and intervals reads the same values
+                assert _scan(p, grid, {k: (interval,)})[k][interval] == fused[k][interval]
+                if k == 1:
+                    public = grid_monotonicity_check(p, interval, grid)
+                else:
+                    public = grid_klog_sign_check(p, interval, k, grid)
+                assert public == fused[k][interval], (p, interval, k)
+
+
+def test_verdicts_match_reference(rng):
+    ts = np.linspace(-1.0, 1.0, 41)
+    cuts = np.full(ts.size, SIGN_MARGIN)
+    parts = {"all": slice(None), "left": slice(0, 20), "picked": np.r_[3:9, 30:41]}
+    for _ in range(200):
+        probes = rng.normal(scale=1e-8, size=ts.size) + rng.choice([-3e-8, 0.0, 3e-8])
+        got = _verdicts(ts, probes, cuts, parts)
+        for key, s in parts.items():
+            assert _as_tuple(got[key]) == _reference_aggregate(ts[s], probes[s], cuts[s])
+
+
+# ---------------------------------------------------------------------------
+# a turning point below the default grid (ROADMAP Direction B, seed 2)
+
+_SEED2_DRAW = HParams(2.8326828332840206, -3.461759854109924,
+                      -0.049147016002110355, -0.5798318411724512)
+
+
+def test_seed2_turning_point_seen():
+    # A = -6.2e-4: H falls on (0, ~1.4e-5) and rises beyond.  The default
+    # grid starts at 1e-3; the decade probes below it see the fall.
+    for p in (_SEED2_DRAW, HParams(2.8327, -3.4618, -0.0491, -0.5798)):
+        assert _check_one(p, GridSpec())[0] != "contradiction", p.as_tuple()
+    v = grid_monotonicity_check(_SEED2_DRAW, Interval.POSITIVE_HALF_LINE)
+    assert v.direction == "both"
+    assert v.witness_points[1] < 1e-4 < v.witness_points[0]
+
+
+def test_verify_seed2_clean(capsys):
+    assert cli_main(["verify", "--draws", "400", "--seed", "2"]) == 0
+    assert "contradictions=0" in capsys.readouterr().out
