@@ -1,22 +1,15 @@
-"""Kernel backend selection.
+"""The kernel namespace: the NumPy kernels of ``_kernels_py``, the only backend.
 
-The compiled Cython core is preferred; the NumPy twin is used when the
-extension is missing or when EXPRATIO_PURE_PYTHON=1 is set.
+``evaluate`` and ``oracle`` bind it as their module attribute ``kernels`` and
+call ``log_abs_h``, ``eval_h`` and ``fd_log_deriv`` through it, so a
+profiler can swap those bindings for wrappers.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import _kernels_py
 
-if os.environ.get("EXPRATIO_PURE_PYTHON", "") not in ("", "0"):
-    kernels = _kernels_py
-else:
-    try:
-        from . import _kernels as kernels  # type: ignore[no-redef]
-    except ImportError:
-        kernels = _kernels_py
+kernels = _kernels_py
 
 
 def backend_name() -> str:
@@ -24,12 +17,5 @@ def backend_name() -> str:
 
 
 def available_backends():
-    """All importable kernel modules (used by tests and the benchmark)."""
-    mods = {_kernels_py.BACKEND: _kernels_py}
-    try:
-        from . import _kernels
-
-        mods[_kernels.BACKEND] = _kernels
-    except ImportError:
-        pass
-    return mods
+    """Every kernel module by backend name (read by the benchmark)."""
+    return {kernels.BACKEND: kernels}

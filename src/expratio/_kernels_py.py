@@ -1,12 +1,13 @@
-"""Pure-python (NumPy) kernels.
+"""The NumPy kernels: the package's one implementation of ln|H| and its
+log-derivatives.
 
-Shared contract with the compiled module ``expratio._kernels``:
+Called through the ``kernels`` binding of ``evaluate`` and ``oracle``:
 
     log_abs_h(alpha, beta, lam, mu, t)          -> ln|H(t)| array
     eval_h(alpha, beta, lam, mu, t)             -> H(t) array, saturating
     fd_log_deriv(alpha, beta, lam, mu, t, order, step) -> (estimate, error)
 
-NumPy only, called as ``_kernels_py.log_deriv_h`` / ``log_derivs_h``:
+Called directly, as ``_kernels_py.log_deriv_h`` / ``log_derivs_h``:
 
     log_deriv_h(alpha, beta, lam, mu, t, order)   -> (value, bound)
     log_derivs_h(alpha, beta, lam, mu, t, orders) -> {order: (value, bound)}

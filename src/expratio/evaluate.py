@@ -1,10 +1,10 @@
 """Evaluators for the ratio family and the closed-form log-derivatives.
 
-Every evaluator works on arrays of t: H, Q and P through the kernel backend
-(compiled if available), G and F on the log-domain helpers of the NumPy
-kernel.  The scalar entry points are one-point calls of the grid
-evaluators, so scalar and grid values agree point for point.  The
-log-derivatives of ln|H| come from the NumPy kernel's exact form
+Every evaluator works on arrays of t: H, Q and P through the NumPy kernel's
+``eval_h`` and ``log_abs_h``, G and F on its log-domain helpers.  The
+scalar entry points are one-point calls of the grid evaluators, so scalar
+and grid values agree point for point.  The log-derivatives of ln|H| come
+from the NumPy kernel's exact form
 
     (ln|H|)^(k)(t) = d1^k phi^(k)(d1 t) - d2^k phi^(k)(d2 t)   [+ beta - mu, k = 1]
 

@@ -53,8 +53,10 @@ __all__ = [
 
 # Default stencil steps per derivative order (scaled by max(1, |t|) at each
 # point).  The noise floor of a central difference grows like eps/h^k, so
-# higher orders need a coarser step; these keep the error estimate a few
-# orders of magnitude below the 1e-8 sign margins used by the checks.
+# higher orders need a coarser step.  The scans read the exact
+# log-derivatives, not these; the finite differences are read by acceptance
+# criterion 9 (within 1e-6 of log_deriv_H), the mpmath tests and the
+# benchmark's kernel-bulk workload.
 DEFAULT_STEPS = {1: 1e-4, 2: 1e-4, 3: 4e-3, 4: 1e-2}
 
 SIGN_MARGIN = 1e-8

@@ -1,80 +1,19 @@
-"""Agreement between the compiled kernel core and the NumPy fallback."""
+"""The kernel-backend contract the benchmark's tracer and worker rely on."""
 
-import os
-import subprocess
-import sys
+import importlib
 
-import numpy as np
 import pytest
 
+import expratio
+from expratio import _kernels_py, evaluate, oracle
 from expratio._backend import available_backends
 
-BACKENDS = available_backends()
 
-needs_both = pytest.mark.skipif(
-    len(BACKENDS) < 2, reason="compiled kernels not built in this environment"
-)
-
-
-def _param_sets():
-    rng = np.random.default_rng(99)
-    out = []
-    while len(out) < 30:
-        a, b, l, m = rng.uniform(-5, 5, size=4)
-        if min(abs(a - b), abs(l - m), abs(a - l), abs(b - m)) >= 0.05:
-            out.append((a, b, l, m))
-    return out
-
-
-@needs_both
-class TestTwinAgreement:
-    def test_log_abs_h(self):
-        py, cy = BACKENDS["python"], BACKENDS["cython"]
-        ts = np.concatenate(
-            [-np.geomspace(1e-8, 700, 60)[::-1], [0.0], np.geomspace(1e-8, 700, 60)]
-        )
-        for a, b, l, m in _param_sets():
-            r_py = py.log_abs_h(a, b, l, m, ts)
-            r_cy = cy.log_abs_h(a, b, l, m, ts)
-            np.testing.assert_allclose(r_cy, r_py, rtol=1e-13, atol=1e-13)
-
-    def test_eval_h(self):
-        py, cy = BACKENDS["python"], BACKENDS["cython"]
-        ts = np.linspace(-20, 20, 101)
-        for a, b, l, m in _param_sets():
-            np.testing.assert_allclose(
-                cy.eval_h(a, b, l, m, ts), py.eval_h(a, b, l, m, ts),
-                rtol=1e-12, atol=0,
-            )
-
-    def test_fd_log_deriv(self):
-        py, cy = BACKENDS["python"], BACKENDS["cython"]
-        ts = np.geomspace(0.05, 10, 25)
-        default_steps = {1: 1e-4, 2: 1e-4, 3: 1e-3, 4: 1e-2}
-        for a, b, l, m in _param_sets()[:10]:
-            for order, base in default_steps.items():
-                steps = base * np.maximum(1.0, ts)
-                e_py, r_py = py.fd_log_deriv(a, b, l, m, ts, order, steps)
-                e_cy, r_cy = cy.fd_log_deriv(a, b, l, m, ts, order, steps)
-                # both estimates carry rounding noise ~ their own error
-                # estimates; they must agree within that combined budget
-                budget = 1e-9 + 10.0 * (np.asarray(r_py) + np.asarray(r_cy))
-                assert np.all(np.abs(np.asarray(e_py) - np.asarray(e_cy)) <= budget), order
-
-
-class TestBackendSelection:
-    def test_a_backend_is_active(self):
-        import expratio
-
-        assert expratio.backend_name() in ("python", "cython")
-
-    def test_env_var_forces_python(self):
-        code = (
-            "import expratio; print(expratio.backend_name())"
-        )
-        env = dict(os.environ, EXPRATIO_PURE_PYTHON="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0
-        assert out.stdout.strip() == "python"
+def test_numpy_kernel_is_the_only_backend():
+    assert expratio.backend_name() == "python"
+    assert available_backends() == {"python": _kernels_py}
+    for module in (evaluate, oracle):
+        for name in ("BACKEND", "log_abs_h", "eval_h", "fd_log_deriv"):
+            assert hasattr(module.kernels, name), (module.__name__, name)
+    with pytest.raises(ImportError):
+        importlib.import_module("expratio._kernels")
