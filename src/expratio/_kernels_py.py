@@ -7,27 +7,26 @@ Called through the ``kernels`` binding of ``evaluate`` and ``oracle``:
     eval_h(alpha, beta, lam, mu, t)             -> H(t) array, saturating
     fd_log_deriv(alpha, beta, lam, mu, t, order, step) -> (estimate, error)
 
-Called directly, as ``_kernels_py.log_deriv_h`` / ``log_derivs_h``:
+Called directly, as ``_kernels_py.<name>``:
 
+    log_abs_quot(alpha, beta, t)                  -> ln|(e^{alpha t} - e^{beta t})/t|
+    h_sign(alpha, beta, lam, mu)                  -> sign of H, +-1.0
     log_deriv_h(alpha, beta, lam, mu, t, order)   -> (value, bound)
     log_derivs_h(alpha, beta, lam, mu, t, orders) -> {order: (value, bound)}
 
-The evaluators never form e^{alpha t} directly.  Everything is built from
-the factorization
+Every value and exact derivative comes from one expression for the title
+function (e^{alpha t} - e^{beta t})/t, of which H is a quotient: with
+d = alpha - beta, u = |d t| and e(u) = ln(sinh(u/2)/(u/2)), even, e(0) = 0,
 
-    ln|e^{alpha t} - e^{beta t}| = ln|d t| + d t / 2 + ln(sinh(|d t|/2) / (|d t|/2))
-                                 = max(d t, 0) + ln(1 - e^{-|d t|})
+    ln|(e^{alpha t} - e^{beta t})/t| = ln|d| + (alpha + beta) t / 2 + e(u).
 
-with d = alpha - beta, choosing per term whichever right-hand side keeps the
-non-affine remainder small (|d t| <= 1: sinh form, else the log1p form).
-That keeps ln|H| accurate through the removable singularity at t = 0 and
-free of overflow for |t| in the thousands.
+``log_abs_quot`` evaluates it (e from its series below u = 1, as
+u/2 - ln u + ln(1 - e^{-u}) above), regular at t = 0 and at subnormal d t;
+ln|H| is (beta - mu) t plus a difference of two such terms with the common
+shift taken out, G and F use one each.
+``log_derivs_h`` differentiates it:
 
-The exact log-derivatives use the same split.  With
-phi(x) = ln((e^x - 1)/x) = x/2 + e(x), e(x) = ln(sinh(x/2)/(x/2)) even,
-
-    (ln|H|)^(k)(t) = d1^k phi^(k)(d1 t) - d2^k phi^(k)(d2 t)   [+ beta - mu, k = 1]
-                   = sgn(t)^k (|d1|^k e^(k)(|d1 t|) - |d2|^k e^(k)(|d2 t|))
+    (ln|H|)^(k)(t) = sgn(t)^k (|d1|^k e^(k)(|d1 t|) - |d2|^k e^(k)(|d2 t|))
                      [+ (alpha + beta - lam - mu)/2, k = 1]
 
 since e^(k) has the parity of k.  e^(k)(u) comes from its Bernoulli series
@@ -35,15 +34,18 @@ for u <= 1 and from closed forms in q = e^{-u} beyond, so the value is
 regular at t = 0, odd orders vanish there exactly, and |d1| = |d2| (ratio
 +-1, log-affine) gives exactly 0 at every order >= 2.
 
-The finite-difference driver applies central stencils with one Richardson
-pass to the non-affine remainder only; affine pieces and the ln|t| carried
-by the sinh form are differentiated exactly.  This is pure bookkeeping (the
-dropped pieces are elementary), but it keeps the rounding noise of the
-difference quotients proportional to the local derivative scale instead of
-to |ln H|, which is what makes high-order sign checks trustworthy.
+The finite-difference estimator, the independent check of those derivatives,
+keeps a split of its own (ln|d t| + d t / 2 + sinh form, or
+max(d t, 0) + ln(1 - e^{-|d t|})).  It applies central stencils with one
+Richardson pass to the non-affine remainder only and differentiates the
+affine pieces and the ln|t| of the sinh form exactly, which keeps the
+rounding noise proportional to the local derivative scale instead of to
+|ln H|: that is what makes high-order sign checks trustworthy.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -81,45 +83,42 @@ def _log1mexp(v):
     return np.where(v < _LN2, small, large)
 
 
-def _ln_abs_expm1(x):
-    """ln|e^x - 1| without overflow or cancellation."""
-    x = np.asarray(x, dtype=np.float64)
-    ax = np.abs(x)
+def log_abs_quot(alpha, beta, t):
+    """ln|(e^{alpha t} - e^{beta t})/t| elementwise (alpha != beta), equal
+    to ln|alpha - beta| at t = 0."""
+    t = np.asarray(t, dtype=np.float64)
+    d = alpha - beta
+    u = np.abs(d * t)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        near = np.log(ax) + 0.5 * x + _log_sinhc(np.minimum(ax, 1.0) * 0.5)
-        far = np.maximum(x, 0.0) + _log1mexp(np.maximum(ax, 1.0))
-    return np.where(ax < 1.0, near, far)
+        near = math.log(abs(d)) + 0.5 * (alpha + beta) * t + _log_sinhc(0.5 * u)
+        # ln|d| + (alpha + beta) t / 2 + u/2 - ln u, written exactly
+        far = np.maximum(alpha * t, beta * t) - np.log(np.abs(t)) + np.log1p(-np.exp(-u))
+    return np.where(u < 1.0, near, far)
+
+
+def h_sign(alpha, beta, lam, mu):
+    """Sign of H, constant in t: +1.0 when alpha - beta and lam - mu share a
+    sign (compared, not multiplied, so tiny differences cannot underflow)."""
+    return 1.0 if (alpha > beta) == (lam > mu) else -1.0
 
 
 def log_abs_h(alpha, beta, lam, mu, t):
-    """ln|H(t)| elementwise; t = 0 entries get the continuity limit."""
+    """ln|H(t)| elementwise, regular at t = 0."""
     t = np.asarray(t, dtype=np.float64)
-    d1 = alpha - beta
-    d2 = lam - mu
-    s0 = beta - mu
-    x1 = d1 * t
-    x2 = d2 * t
+    # the common shift e^{beta t} / e^{mu t} is taken out exactly, so the
+    # rounding error scales with |(alpha - beta) t|, not with |alpha t|
     with np.errstate(invalid="ignore"):
-        out = s0 * t + _ln_abs_expm1(x1) - _ln_abs_expm1(x2)
-    # t == 0 exactly, or so small that a product is subnormal and has lost
-    # relative precision: use the limit (error there is O(|d| |t|), far
-    # below double resolution)
-    tiny = np.finfo(np.float64).tiny
-    return np.where((np.abs(x1) < tiny) | (np.abs(x2) < tiny),
-                    np.log(abs(d1 / d2)), out)
+        return ((beta - mu) * t + log_abs_quot(alpha - beta, 0.0, t)
+                - log_abs_quot(lam - mu, 0.0, t))
 
 
 def eval_h(alpha, beta, lam, mu, t):
-    """H(t) elementwise, saturating to +-inf / 0 when out of range."""
+    """H(t) elementwise, saturating to +-inf / 0 when out of range; exactly
+    (alpha - beta)/(lam - mu) at t = 0."""
     t = np.asarray(t, dtype=np.float64)
-    d1 = alpha - beta
-    d2 = lam - mu
-    sign = 1.0 if d1 * d2 > 0.0 else -1.0
     with np.errstate(over="ignore"):
-        out = sign * np.exp(log_abs_h(alpha, beta, lam, mu, t))
-    tiny = np.finfo(np.float64).tiny
-    return np.where((np.abs(d1 * t) < tiny) | (np.abs(d2 * t) < tiny),
-                    d1 / d2, out)
+        out = h_sign(alpha, beta, lam, mu) * np.exp(log_abs_h(alpha, beta, lam, mu, t))
+    return np.where(t == 0.0, (alpha - beta) / (lam - mu), out)
 
 
 # Bernoulli series of e^(k)(u) = u^(k mod 2) * sum_j c[j] u^(2j), k = 1..4,
@@ -148,13 +147,16 @@ _HORNER = _SERIES[::-1]
 _BOUND_ULPS = 16.0 * np.finfo(np.float64).eps
 
 
-def _e_derivs(u, orders):
-    """e^(k)(u) for u >= 0, one row per order, with the magnitude sum of the
-    parts each value is formed from (the scale its rounding error has)."""
+def _e_derivs(d, s, orders):
+    """d^k e^(k)(d s) for each d > 0 in d (rows) and s >= 0 in s (columns),
+    one block per order, with the magnitude sum of the parts each value is
+    formed from (the scale its rounding error has)."""
     rows = [k - 1 for k in orders]
+    dc = d[:, None]
+    u = dc * s
     us = np.minimum(u, 1.0)
     y = us * us
-    coef = _HORNER[:, rows, None]
+    coef = _HORNER[:, rows, None, None]
     ser = coef[0] * y + coef[1]
     for c in coef[2:]:
         ser *= y
@@ -162,23 +164,28 @@ def _e_derivs(u, orders):
     odd = [i for i, k in enumerate(orders) if k % 2]
     if odd:
         ser[odd] *= us
+    ser *= dc ** np.array(orders, dtype=np.float64)[:, None, None]
     # u > 1: with q = e^{-u}, r = 1/(1 - q), coth(u/2) = (1 + q) r and
-    # 1/(4 sinh^2(u/2)) = q r^2 =: w, each e^(k) is a difference P - N of
-    # nonnegative parts
-    ub = np.maximum(u, 1.0)
-    q = np.exp(-ub)
+    # 1/(4 sinh^2(u/2)) = q r^2, each d^k e^(k) is a difference P - N of
+    # nonnegative parts.  d^k enters them as d^k / u^k = 1/|t|^k and
+    # through w = d^2 q r^2 = (d e^{-u/2} r)^2, so no part overflows unless
+    # the value does.
+    h = np.exp(-0.5 * u)
+    q = h * h
     r = 1.0 / (1.0 - q)
-    iu = 1.0 / ub
-    iu2 = iu * iu
-    w = q * r * r
+    it = 1.0 / s
+    it2 = it * it
+    w = dc * h * r
+    w *= w
     parts = {
-        1: lambda: (r, 0.5 + iu),
-        2: lambda: (iu2, w),
-        3: lambda: ((1.0 + q) * r * w, 2.0 * iu2 * iu),
-        4: lambda: (6.0 * iu2 * iu2, w * r * r * (1.0 + q * (4.0 + q))),
+        1: lambda: (dc * r, 0.5 * dc + it),
+        2: lambda: (it2, w),
+        3: lambda: ((1.0 + q) * r * w * dc, 2.0 * it2 * it),
+        4: lambda: (6.0 * it2 * it2, w * dc * dc * r * r * (1.0 + q * (4.0 + q))),
     }
-    pos, neg = zip(*(parts[k]() for k in orders))
-    pos, neg = np.array(pos), np.array(neg)
+    pos, neg = np.empty(ser.shape), np.empty(ser.shape)
+    for i, k in enumerate(orders):
+        pos[i], neg[i] = parts[k]()
     small = u <= 1.0
     return np.where(small, ser, pos - neg), np.where(small, np.abs(ser), pos + neg)
 
@@ -190,18 +197,19 @@ def log_derivs_h(alpha, beta, lam, mu, t, orders):
     Returns {order: (value, bound)}, arrays shaped like t.  bound is a
     roundoff floor, a few ulps of the magnitudes the value is formed from
     (for order 1 including (|alpha| + |beta| + |lam| + |mu|)/2), not an
-    error estimate of any discretization: the value has none.
+    error estimate of any discretization: the value has none.  Values are
+    finite at any |d| where |d t| > 1; below, the series is scaled by
+    |d|^k and overflows with it, as the value does (odd orders at t = 0,
+    exactly 0, then read NaN).
     """
     if not orders or any(k not in (1, 2, 3, 4) for k in orders):
         raise ValueError(f"orders must be in 1..4, got {orders}")
     t = np.asarray(t, dtype=np.float64)
     ts = t.ravel()
-    n = ts.size
     d = np.array([abs(alpha - beta), abs(lam - mu)])
-    vals, mags = _e_derivs(np.multiply.outer(d, np.abs(ts)).ravel(), orders)
-    scale = (d ** np.array(orders, dtype=np.float64)[:, None])[..., None]
-    vals = vals.reshape(len(orders), 2, n) * scale
-    mags = mags.reshape(len(orders), 2, n) * scale
+    # the branch not taken may overflow, or divide by t = 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        vals, mags = _e_derivs(d, np.abs(ts), orders)
     diffs = vals[:, 0] - vals[:, 1]
     sizes = mags[:, 0] + mags[:, 1]
     sgn = np.sign(ts)

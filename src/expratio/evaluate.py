@@ -1,14 +1,14 @@
 """Evaluators for the ratio family and the closed-form log-derivatives.
 
-Every evaluator works on arrays of t: H, Q and P through the NumPy kernel's
-``eval_h`` and ``log_abs_h``, G and F on its log-domain helpers.  The
-scalar entry points are one-point calls of the grid evaluators, so scalar
-and grid values agree point for point.  The log-derivatives of ln|H| come
-from the NumPy kernel's exact form
-
-    (ln|H|)^(k)(t) = d1^k phi^(k)(d1 t) - d2^k phi^(k)(d2 t)   [+ beta - mu, k = 1]
-
-with phi(x) = ln((e^x - 1)/x), d1 = alpha - beta, d2 = lambda - mu
+Every evaluator works on arrays of t and reads one kernel primitive,
+``_kernels_py.log_abs_quot(alpha, beta, t)`` = ln|(e^{alpha t} - e^{beta t})/t|
+= ln|alpha - beta| + (alpha + beta) t / 2 + ln(sinh(u/2) / (u/2)) with
+u = |(alpha - beta) t|: H, Q and P as the difference of two such terms
+(the kernel's ``log_abs_h`` and ``eval_h``), G as exp of one and F as exp of
+minus one.  Only t = 0 itself is special-cased, to return the exact limit.
+The scalar entry points are one-point calls of the grid evaluators, so
+scalar and grid values agree point for point.  The log-derivatives of ln|H|
+are the kernel's exact derivatives of the same expression
 (``_kernels_py.log_deriv_h``), regular at t = 0.
 """
 
@@ -39,9 +39,6 @@ __all__ = [
     "reduce_H_to_Q",
 ]
 
-_TINY = np.finfo(np.float64).tiny
-
-
 def _check_t(t: float) -> float:
     t = float(t)
     if not math.isfinite(t):
@@ -64,28 +61,22 @@ def eval_G_grid(params: GFParams, t) -> np.ndarray:
     at t = 0."""
     params.require_g()
     t = _check_grid(t)
-    la = math.log(params.a)
-    d = math.log(params.b) - la
-    x = d * t
-    # G = a^t (e^x - 1) / t, positive for every t
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = np.exp(la * t + _kernels_py._ln_abs_expm1(x) - np.log(np.abs(t)))
-    # t == 0, or x subnormal: the limit, as in eval_h
-    return np.where(np.abs(x) < _TINY, d, out)
+    lb, la = math.log(params.b), math.log(params.a)
+    with np.errstate(over="ignore"):
+        out = np.exp(_kernels_py.log_abs_quot(lb, la, t))
+    return np.where(t == 0.0, lb - la, out)
 
 
 def eval_F_grid(params: GFParams, t) -> np.ndarray:
     """t / (e^{bt} - e^{at}) over an array of t values, continued by
     1/(b - a) at t = 0."""
     t = _check_grid(t)
-    a = params.a
-    d = params.b - a
-    x = d * t
-    # F = t e^{-at} / (e^x - 1), which has the sign of d
-    sign = 1.0 if d > 0.0 else -1.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = sign * np.exp(np.log(np.abs(t)) - a * t - _kernels_py._ln_abs_expm1(x))
-    return np.where(np.abs(x) < _TINY, 1.0 / d, out)
+    a, b = params.a, params.b
+    # F = 1 / ((e^{bt} - e^{at})/t), which has the sign of b - a
+    sign = 1.0 if b > a else -1.0
+    with np.errstate(over="ignore"):
+        out = sign * np.exp(-_kernels_py.log_abs_quot(b, a, t))
+    return np.where(t == 0.0, 1.0 / (b - a), out)
 
 
 def eval_H_grid(params: HParams, t) -> np.ndarray:
@@ -146,9 +137,7 @@ def eval_P(params: PParams, t: float) -> float:
 
 def eval_H_signed_log(params: HParams, t: float) -> SignedLogValue:
     """H(t) as a signed-log value; exact even far outside float range."""
-    d1 = params.alpha - params.beta
-    d2 = params.lam - params.mu
-    sign = 1 if d1 * d2 > 0.0 else -1
+    sign = int(_kernels_py.h_sign(*params.as_tuple()))
     return SignedLogValue(sign, _at(log_abs_H_grid, params, t))
 
 

@@ -246,7 +246,6 @@ def _scan(
     params: HParams,
     grid: GridSpec,
     wanted: dict[int, tuple[Interval, ...]],
-    margin: float = SIGN_MARGIN,
 ) -> dict[int, dict[Interval, OracleVerdict]]:
     """Sign scans of the order-k log-derivatives over the grid's probes, for
     the intervals wanted[k], from one kernel pass for all orders.
@@ -255,7 +254,7 @@ def _scan(
     sign(H) * ln|H|, which is monotone in t exactly when H is, because
     sign(H) = sign((alpha-beta)(lam-mu)) is constant in t; it also reads
     t = 0 (whole line) and the decades below the grid.  A probe is a
-    witness beyond margin plus the kernel's roundoff floor.
+    witness beyond SIGN_MARGIN plus the kernel's roundoff floor.
     """
     ts, first_order, higher_order = grid._probes
     a, b, l, m = params.as_tuple()
@@ -263,10 +262,10 @@ def _scan(
     out = {}
     for k, intervals in wanted.items():
         value, bound = derivs[k]
-        if k == 1 and (a - b) * (l - m) < 0:
+        if k == 1 and _kernels_py.h_sign(a, b, l, m) < 0.0:
             value = -value
         parts = first_order if k == 1 else higher_order
-        out[k] = _verdicts(ts, value, margin + bound, {iv: parts[iv] for iv in intervals})
+        out[k] = _verdicts(ts, value, SIGN_MARGIN + bound, {iv: parts[iv] for iv in intervals})
     return out
 
 
@@ -283,24 +282,22 @@ def grid_klog_sign_check(
     interval: Interval,
     k: int,
     grid: GridSpec | None = None,
-    margin: float = SIGN_MARGIN,
 ) -> OracleVerdict:
     """Sign scan of the order-k log-derivative over the grid.
 
     "rises" means every probe is confidently positive (k-log-convex on the
-    sampled set); probes inside margin + roundoff floor of zero count as
+    sampled set); probes inside SIGN_MARGIN + roundoff floor of zero count as
     neither sign.
     """
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
-    return _scan(params, grid or _DEFAULT_GRID, {k: (interval,)}, margin)[k][interval]
+    return _scan(params, grid or _DEFAULT_GRID, {k: (interval,)})[k][interval]
 
 
 def four_log_sign_change_search(
     params: HParams,
     interval: Interval,
     grid: GridSpec | None = None,
-    width: float = 1e-6,
 ) -> float | None:
     """Locate a sign change of the 4th log-derivative on one half line.
 
@@ -308,7 +305,7 @@ def four_log_sign_change_search(
     the classifier's zero band, to 1: those are log-affine, and every higher
     log-derivative vanishes identically.  Scans for adjacent grid points
     with confident opposite signs, preferring the pair farthest above the
-    noise floor, then bisects to the requested relative bracket width.
+    noise floor, then bisects to a relative bracket width of 1e-6.
     Returns the crossing point or None.
     """
     if interval is Interval.WHOLE_LINE:
@@ -318,9 +315,9 @@ def four_log_sign_change_search(
         raise ValueError("log-affine parameters: order-4 log-derivative is identically 0")
     if grid is None:
         # crossings can sit outside the default window; widen before giving up
-        hit = four_log_sign_change_search(params, interval, _DEFAULT_GRID, width)
+        hit = four_log_sign_change_search(params, interval, _DEFAULT_GRID)
         return hit if hit is not None else four_log_sign_change_search(
-            params, interval, _RETRY_GRID, width
+            params, interval, _RETRY_GRID
         )
     ts = grid.points(interval)
     a, b, l, m = params.as_tuple()
@@ -339,7 +336,7 @@ def four_log_sign_change_search(
     k = int(np.argmax(strengths))
     lo, hi = float(ts[idx[k]]), float(ts[idx[k + 1]])
     f_lo = float(vals[k])
-    while abs(hi - lo) > width * max(1.0, abs(lo)):
+    while abs(hi - lo) > 1e-6 * max(1.0, abs(lo)):
         mid = 0.5 * (lo + hi)
         est_m = float(_kernels_py.log_deriv_h(a, b, l, m, mid, 4)[0])
         if est_m * f_lo < 0.0:
@@ -376,12 +373,12 @@ class CrossValidationReport:
         )
 
 
-def _draw_params(rng: np.random.Generator, min_gap: float = 0.05) -> HParams:
+def _draw_params(rng: np.random.Generator) -> HParams:
     while True:
         a, b, l, m = rng.uniform(-5.0, 5.0, size=4)
         vals = (a, b, l, m)
         gaps = [abs(vals[i] - vals[j]) for i in range(4) for j in range(i + 1, 4)]
-        if min(gaps) >= min_gap:
+        if min(gaps) >= 0.05:
             return HParams(a, b, l, m)
 
 

@@ -121,6 +121,8 @@ class GFParams:
     def require_g(self) -> None:
         if not (self.b > self.a > 0.0):
             raise ParameterError("GFParams: G requires b > a > 0")
+        if math.log(self.b) == math.log(self.a):
+            raise ParameterError("GFParams: ln b == ln a in double precision; G needs distinct logarithms")
 
 
 @dataclass(frozen=True)

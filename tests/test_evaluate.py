@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from expratio import (
     log_deriv_H,
     reduce_H_to_Q,
 )
+from expratio._kernels_py import h_sign
 
 from conftest import mp_F, mp_G, mp_H, mp_log_abs_H, mp_log_deriv_H, random_hparams, rel_err
 
@@ -126,6 +128,34 @@ class TestAgainstReference:
                 want = mp_log_abs_H(*p.as_tuple(), t)
                 assert abs(v.log_mag - float(want)) < 1e-10 * max(1.0, abs(float(want)))
 
+    def test_log_abs_H_tiny_t(self, rng):
+        # ln|H| near t = 0 is ln|d1| - ln|d2| plus O(t); the reference
+        # writes each difference as e^{beta t} expm1(d t), so it does not
+        # cancel at 80 digits however small t is
+        def want(a, b, l, m, t):
+            with mp.workdps(80):
+                a, b, l, m, t = map(mp.mpf, (a, b, l, m, t))
+                return float(
+                    (b - m) * t
+                    + mp.log(abs(mp.expm1((a - b) * t)))
+                    - mp.log(abs(mp.expm1((l - m) * t)))
+                )
+
+        ts = np.array([s * x for x in (1e-300, 1e-200, 1e-100, 1e-20) for s in (1.0, -1.0)])
+        for p in random_hparams(rng, 50):
+            got = log_abs_H_grid(p, ts)
+            for t, g in zip(ts, got):
+                assert abs(g - want(*p.as_tuple(), t)) <= 1e-14, (p, t)
+
+    def test_common_shift_keeps_accuracy(self, rng):
+        # H is invariant under adding c to every exponent; its rounding
+        # error must follow |(alpha - beta) t| <= 20, not |alpha t| ~ 1e4
+        draws = [HParams(*(0.2 * x for x in p.as_tuple())) for p in random_hparams(rng, 20)]
+        for p in [HParams(0.5, 0, 1, 0)] + draws:
+            shifted = HParams(*(x + 1000.0 for x in p.as_tuple()))
+            want = mp_H(*shifted.as_tuple(), 10.0)
+            assert rel_err(eval_H(shifted, 10.0), want) <= 1e-14, shifted
+
     def test_grid_matches_scalar(self, rng):
         p = random_hparams(rng, 1)[0]
         ts = np.linspace(-4, 4, 33)
@@ -197,6 +227,55 @@ class TestContinuityAtZero:
             for t in (1e-9, -1e-9, 1e-12, -1e-12):
                 assert abs(eval_H(p, t) - h0) <= 1e-7 * abs(h0)
 
+    def test_G_F_exact_value_at_zero(self, rng):
+        for _ in range(50):
+            la, lb = np.sort(rng.uniform(-2, 2, size=2))
+            a, b = rng.uniform(-3, 3, size=2)
+            if lb - la < 0.05 or abs(a - b) < 0.05:
+                continue
+            g = GFParams(math.exp(la), math.exp(lb))
+            assert eval_G(g, 0.0) == math.log(g.b) - math.log(g.a)
+            assert eval_F(GFParams(a, b), 0.0) == 1.0 / (b - a)
+
+    @staticmethod
+    def _tiny_ts(*ds):
+        # the smallest subnormal, and a t at which every d t is subnormal
+        t = 1e-310
+        assert all(0.0 < abs(d * t) < np.finfo(np.float64).tiny for d in ds)
+        return (5e-324, -5e-324, t, -t)
+
+    def test_subnormal_t_near_limit(self, rng):
+        for p in random_hparams(rng, 50):
+            d1, d2 = p.alpha - p.beta, p.lam - p.mu
+            for t in self._tiny_ts(d1, d2):
+                assert rel_err(eval_H(p, t), d1 / d2) <= 1e-15, (p, t)
+        for _ in range(50):
+            la, lb = np.sort(rng.uniform(-2, 2, size=2))
+            a, b = rng.uniform(-3, 3, size=2)
+            if lb - la < 0.05 or abs(a - b) < 0.05:
+                continue
+            g, f = GFParams(math.exp(la), math.exp(lb)), GFParams(a, b)
+            g0, f0 = math.log(g.b) - math.log(g.a), 1.0 / (b - a)
+            for t in self._tiny_ts(g0, b - a):
+                assert rel_err(eval_G(g, t), g0) <= 1e-15, (g, t)
+                assert rel_err(eval_F(f, t), f0) <= 1e-15, (f, t)
+
+
+class TestSign:
+    # d1 d2 = 2e-400 underflows to 0; the sign must come from the factors
+    P = HParams(2e-200, 0, 1e-200, 0)
+
+    def test_eval_H_positive(self):
+        assert eval_H(self.P, 0.0) == 2.0
+        assert eval_H(self.P, 1.0) == pytest.approx(2.0, rel=1e-12)
+        assert eval_H(HParams(0, 2e-200, 1e-200, 0), 1.0) == pytest.approx(-2.0, rel=1e-12)
+
+    def test_signed_log_and_kernel_sign(self):
+        assert eval_H_signed_log(self.P, 1.0).sign == 1
+        assert h_sign(*self.P.as_tuple()) == 1.0
+        assert h_sign(0.0, 2e-200, 1e-200, 0.0) == -1.0
+        assert h_sign(-1e-300, 0.0, -1e-300, 0.0) == 1.0
+
 
 class TestOverflowSafety:
     def test_logistic_extremes(self):
@@ -223,6 +302,12 @@ class TestOverflowSafety:
         assert math.isfinite(got)
         assert rel_err(got, want) < 1e-12
         assert eval_G(GFParams(1.0, E), 720.0) == math.inf
+
+    def test_shifted_exponents_beyond_range(self):
+        # alpha t and lam t overflow, (alpha - beta) t and (lam - mu) t do not
+        assert eval_H(HParams(1000.5, 1000, 1001, 1000), 1e306) == 0.0
+        assert eval_H(HParams(-2, -3, -2.5, -3), 1e308) == math.inf
+        assert eval_H_signed_log(HParams(1000.5, 1000, 1001, 1000), 1e306).log_mag < -1e305
 
     def test_no_nan_anywhere(self, rng):
         for p in random_hparams(rng, 10):

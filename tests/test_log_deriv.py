@@ -97,6 +97,20 @@ def test_far_beyond_overflow():
     assert out[1][0][1] == pytest.approx(1.0 - (-1.0), rel=1e-15)  # min(a,b) - min(l,m)
 
 
+# orders 2-4 at t = 1 for HParams(1e60, 0, 1, 0), where |d|^k is in range;
+# beyond e^{-|d t|} = 0, so only the 1/t^k parts of the d row remain
+_AT_1E60 = {2: 0.9206735942077924, 3: -1.9922947671249878, 4: 6.006512796636761}
+
+
+@pytest.mark.parametrize("d", [1e80, 1e160, 1e200])
+def test_huge_difference_no_overflow(d):
+    out = log_derivs_h(d, 0.0, 1.0, 0.0, 1.0, (2, 3, 4))
+    for k, want in _AT_1E60.items():
+        value, bound = out[k]
+        assert bound <= 1e-12 and abs(value - want) <= bound, (d, k, value, bound)
+        assert log_deriv_H(HParams(d, 0, 1, 0), 1.0, k) == value
+
+
 def test_exact_zeros():
     rng = np.random.default_rng(3)
     for p in random_hparams(rng, 20):

@@ -86,6 +86,14 @@ class TestGFParams:
         with pytest.raises(ParameterError):
             GFParams(0.0, 1.0).require_g()
 
+    def test_g_requires_distinct_logs(self):
+        # adjacent doubles whose logarithms round to the same value
+        a = 1e300
+        b = math.nextafter(a, math.inf)
+        assert math.log(a) == math.log(b)
+        with pytest.raises(ParameterError, match="ln b == ln a"):
+            GFParams(a, b).require_g()
+
     def test_f_allows_any_distinct(self):
         GFParams(0.0, 1.0)
         GFParams(-2.0, 1.0)
