@@ -88,8 +88,8 @@ def log_abs_quot(alpha, beta, t):
     to ln|alpha - beta| at t = 0."""
     t = np.asarray(t, dtype=np.float64)
     d = alpha - beta
-    u = np.abs(d * t)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = np.abs(d * t)
         near = math.log(abs(d)) + 0.5 * (alpha + beta) * t + _log_sinhc(0.5 * u)
         # ln|d| + (alpha + beta) t / 2 + u/2 - ln u, written exactly
         far = np.maximum(alpha * t, beta * t) - np.log(np.abs(t)) + np.log1p(-np.exp(-u))
@@ -107,9 +107,18 @@ def log_abs_h(alpha, beta, lam, mu, t):
     t = np.asarray(t, dtype=np.float64)
     # the common shift e^{beta t} / e^{mu t} is taken out exactly, so the
     # rounding error scales with |(alpha - beta) t|, not with |alpha t|
-    with np.errstate(invalid="ignore"):
-        return ((beta - mu) * t + log_abs_quot(alpha - beta, 0.0, t)
-                - log_abs_quot(lam - mu, 0.0, t))
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = ((beta - mu) * t + log_abs_quot(alpha - beta, 0.0, t)
+               - log_abs_quot(lam - mu, 0.0, t))
+        scale = max(abs(alpha - beta), abs(lam - mu), abs(beta - mu))
+        if t.size and math.isinf(float(np.abs(t).max()) * scale):
+            # some product above overflowed, and inf - inf is NaN; there
+            # ln|H| = max(alpha t, beta t) - max(lam t, mu t), taken as t
+            # times a difference of exponents so that it cannot overflow
+            far = t * np.where(t > 0.0, max(alpha, beta) - max(lam, mu),
+                               min(alpha, beta) - min(lam, mu))
+            out = np.where(np.isnan(out), far, out)
+    return out
 
 
 def eval_h(alpha, beta, lam, mu, t):
@@ -199,8 +208,8 @@ def log_derivs_h(alpha, beta, lam, mu, t, orders):
     (for order 1 including (|alpha| + |beta| + |lam| + |mu|)/2), not an
     error estimate of any discretization: the value has none.  Values are
     finite at any |d| where |d t| > 1; below, the series is scaled by
-    |d|^k and overflows with it, as the value does (odd orders at t = 0,
-    exactly 0, then read NaN).
+    |d|^k and overflows with it, as the value does, except that odd orders
+    read exactly 0 (value and bound) at t = 0.
     """
     if not orders or any(k not in (1, 2, 3, 4) for k in orders):
         raise ValueError(f"orders must be in 1..4, got {orders}")
@@ -213,11 +222,14 @@ def log_derivs_h(alpha, beta, lam, mu, t, orders):
     diffs = vals[:, 0] - vals[:, 1]
     sizes = mags[:, 0] + mags[:, 1]
     sgn = np.sign(ts)
+    zero = ts == 0.0
     out = {}
     for row, k in enumerate(orders):
         value, size = diffs[row], sizes[row]
         if k % 2:
             value = sgn * value
+            # u = 0 there, and 0 * |d|^k is NaN once |d|^k overflows
+            value[zero] = size[zero] = 0.0
         if k == 1:
             value = value + 0.5 * ((alpha + beta) - (lam + mu))
             size = size + 0.5 * (abs(alpha) + abs(beta) + abs(lam) + abs(mu))

@@ -12,6 +12,13 @@ k = 1) with phi(x) = ln((e^x - 1)/x): exact up to rounding, regular at
 t = 0, and returned with its roundoff floor.  A probe counts as a witness
 only beyond SIGN_MARGIN plus that floor.
 
+Every scan reads one probe window (``GridSpec``): 200 log-spaced
+magnitudes in [1e-3, 1e3] on each side of 0, plus, for monotonicity, t = 0
+and one t per decade from 1e-8 to 1e-4, 411 probes in all.  ln|H| is
+convex, concave or affine, so (ln|H|)' changes sign at most once and one
+probe on each side of its turning point confirms a non-monotonic verdict;
+there is no second, wider grid to retry on.
+
 ``numeric_log_derivative`` stays as the independent finite-difference check
 of those values: central differences through the kernel's noise-controlled
 scheme (``fd_log_deriv``), which differentiates the affine and ln|t| pieces
@@ -20,9 +27,7 @@ of each log term analytically and stencils only the bounded remainder.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -61,87 +66,59 @@ DEFAULT_STEPS = {1: 1e-4, 2: 1e-4, 3: 4e-3, 4: 1e-2}
 
 SIGN_MARGIN = 1e-8
 
-# below t_min the monotonicity scans also probe one t per decade from
-# 10^_DECADE_FLOOR_EXP up, on each side, and t = 0: turning points close to
-# the origin sit there when an invariant is near 0
-_DECADE_FLOOR_EXP = -8
+
+def _probe_window() -> tuple[tuple[np.ndarray, dict, dict], dict]:
+    """Scan probes with each interval's selection of them for order 1 (the
+    decades 1e-8..1e-4 and the window on each side, with t = 0 on the whole
+    line) and for higher orders (the window alone); and the window's points
+    on each interval, all read-only."""
+    # turning points close to the origin sit below the window when an
+    # invariant is near 0; one probe per decade sees them
+    decades = 10.0 ** np.arange(-8, -3)
+    mags = np.concatenate([decades, np.geomspace(1e-3, 1e3, 200)])
+    ts = np.concatenate([-mags[::-1], [0.0], mags])
+    ts.flags.writeable = False
+    n, n_dec = len(mags), len(decades)
+    first_order = {
+        Interval.POSITIVE_HALF_LINE: slice(n + 1, None),
+        Interval.NEGATIVE_HALF_LINE: slice(0, n),
+        Interval.WHOLE_LINE: slice(None),
+    }
+    neg, pos = slice(0, n - n_dec), slice(n + 1 + n_dec, 2 * n + 1)
+    higher_order = {
+        Interval.POSITIVE_HALF_LINE: pos,
+        Interval.NEGATIVE_HALF_LINE: neg,
+        Interval.WHOLE_LINE: np.r_[neg, pos],
+    }
+    points = {iv: ts[s] for iv, s in higher_order.items()}
+    points[Interval.WHOLE_LINE].flags.writeable = False
+    return (ts, first_order, higher_order), points
 
 
-@dataclass(frozen=True)
 class GridSpec:
-    """Log-spaced probe grid: magnitudes in [t_min, t_max], mirrored to t<0.
-    Each instance builds its points (and the scans' probes, which add t = 0
-    and the decades below t_min for monotonicity) once and hands out the
-    same read-only arrays on every call."""
+    """The oracle's one probe window: 200 log-spaced magnitudes in
+    [1e-3, 1e3], mirrored to t < 0; the monotonicity scans add t = 0 and
+    the decades 1e-8..1e-4, 411 probes in all.  Built once at import, so
+    every instance hands out the same read-only arrays."""
 
-    t_min: float = 1e-3
-    t_max: float = 10.0
-    points_per_side: int = 200
-
-    def __post_init__(self):
-        if not (0.0 < self.t_min < self.t_max):
-            raise ValueError("need 0 < t_min < t_max")
-        if self.points_per_side < 8:
-            raise ValueError("need at least 8 points per side")
-
-    @cached_property
-    def _points(self) -> dict[Interval, np.ndarray]:
-        pos = np.geomspace(self.t_min, self.t_max, self.points_per_side)
-        neg = -pos[::-1]
-        pts = {
-            Interval.POSITIVE_HALF_LINE: pos,
-            Interval.NEGATIVE_HALF_LINE: neg,
-            Interval.WHOLE_LINE: np.concatenate([neg, pos]),
-        }
-        for arr in pts.values():
-            arr.flags.writeable = False
-        return pts
-
-    @cached_property
-    def _probes(self) -> tuple[np.ndarray, dict, dict]:
-        """Scan points, and each interval's selection of them for order 1
-        (the decades below t_min and the grid on each side, with t = 0 on
-        the whole line) and for higher orders (the grid alone)."""
-        decades = 10.0 ** np.arange(_DECADE_FLOOR_EXP, math.ceil(math.log10(self.t_min)))
-        mags = np.concatenate([decades, self.side(True)])
-        ts = np.concatenate([-mags[::-1], [0.0], mags])
-        ts.flags.writeable = False
-        n, n_dec = len(mags), len(decades)
-        first_order = {
-            Interval.POSITIVE_HALF_LINE: slice(n + 1, None),
-            Interval.NEGATIVE_HALF_LINE: slice(0, n),
-            Interval.WHOLE_LINE: slice(None),
-        }
-        neg, pos = slice(0, n - n_dec), slice(n + 1 + n_dec, 2 * n + 1)
-        higher_order = {
-            Interval.POSITIVE_HALF_LINE: pos,
-            Interval.NEGATIVE_HALF_LINE: neg,
-            Interval.WHOLE_LINE: np.r_[neg, pos],
-        }
-        return ts, first_order, higher_order
-
-    def side(self, positive: bool) -> np.ndarray:
-        return self._points[
-            Interval.POSITIVE_HALF_LINE if positive else Interval.NEGATIVE_HALF_LINE
-        ]
+    _probes, _points = _probe_window()
 
     def points(self, interval: Interval) -> np.ndarray:
         return self._points[interval]
-
-
-_DEFAULT_GRID = GridSpec()
 
 
 @dataclass(frozen=True)
 class OracleVerdict:
     """Aggregate of a signed grid scan.
 
-    direction: "rises" (every probe positive), "falls" (every probe
-    negative), "both" (confident witnesses of each sign), "flat" (anything
-    else).  rise_count/fall_count are the confident witness tallies;
-    max_violation is the largest confident probe opposing the majority sign
-    (0.0 when unopposed); witness_points holds the t-values of the strongest
-    rise and the strongest fall, where present.
+    direction reads the unopposed witnesses: "rises" (rise witnesses and no
+    fall witness), "falls" (the reverse), "both" (witnesses of each sign),
+    "flat" (none).  Probes inside the noise cut are no witness either way,
+    so a log-derivative that decays below it far out reads neither sign
+    there.  rise_count/fall_count are the confident witness tallies;
+    max_violation is the smaller of the strongest rise and the strongest
+    fall (0.0 when unopposed); witness_points holds the t-values of the
+    strongest rise and the strongest fall, where present.
     """
 
     direction: str
@@ -170,7 +147,6 @@ def _verdicts(
     fall = np.where(dn, probes, np.inf)
     out = {}
     for key, s in parts.items():
-        n = len(ts[s])
         n_up = int(np.count_nonzero(up[s]))
         n_dn = int(np.count_nonzero(dn[s]))
         witnesses: list[float] = []
@@ -183,13 +159,12 @@ def _verdicts(
         if n_up and n_dn:
             direction = "both"
             max_violation = float(min(rise[s][top], -fall[s][bottom]))
-        elif n_up == n:
+        elif n_up:
             direction, max_violation = "rises", 0.0
-        elif n_dn == n:
+        elif n_dn:
             direction, max_violation = "falls", 0.0
         else:
-            direction = "flat"
-            max_violation = 0.0
+            direction, max_violation = "flat", 0.0
         out[key] = OracleVerdict(direction, n_up, n_dn, max_violation, tuple(witnesses))
     return out
 
@@ -243,20 +218,18 @@ def numeric_log_derivative(
 
 
 def _scan(
-    params: HParams,
-    grid: GridSpec,
-    wanted: dict[int, tuple[Interval, ...]],
+    params: HParams, wanted: dict[int, tuple[Interval, ...]]
 ) -> dict[int, dict[Interval, OracleVerdict]]:
-    """Sign scans of the order-k log-derivatives over the grid's probes, for
-    the intervals wanted[k], from one kernel pass for all orders.
+    """Sign scans of the order-k log-derivatives over the window's probes,
+    for the intervals wanted[k], from one kernel pass for all orders.
 
     Order 1 is scanned as sign(H) * (ln|H|)', the derivative of
     sign(H) * ln|H|, which is monotone in t exactly when H is, because
     sign(H) = sign((alpha-beta)(lam-mu)) is constant in t; it also reads
-    t = 0 (whole line) and the decades below the grid.  A probe is a
+    t = 0 (whole line) and the decades below the window.  A probe is a
     witness beyond SIGN_MARGIN plus the kernel's roundoff floor.
     """
-    ts, first_order, higher_order = grid._probes
+    ts, first_order, higher_order = GridSpec._probes
     a, b, l, m = params.as_tuple()
     derivs = _kernels_py.log_derivs_h(a, b, l, m, ts, tuple(wanted))
     out = {}
@@ -269,57 +242,41 @@ def _scan(
     return out
 
 
-def grid_monotonicity_check(
-    params: HParams, interval: Interval, grid: GridSpec | None = None
-) -> OracleVerdict:
+def grid_monotonicity_check(params: HParams, interval: Interval) -> OracleVerdict:
     """Scan for rise/fall witnesses of H on the interval: the sign of
-    sign(H) * (ln|H|)' on the grid's probes."""
-    return _scan(params, grid or _DEFAULT_GRID, {1: (interval,)})[1][interval]
+    sign(H) * (ln|H|)' on the window's probes."""
+    return _scan(params, {1: (interval,)})[1][interval]
 
 
-def grid_klog_sign_check(
-    params: HParams,
-    interval: Interval,
-    k: int,
-    grid: GridSpec | None = None,
-) -> OracleVerdict:
-    """Sign scan of the order-k log-derivative over the grid.
+def grid_klog_sign_check(params: HParams, interval: Interval, k: int) -> OracleVerdict:
+    """Sign scan of the order-k log-derivative over the window.
 
-    "rises" means every probe is confidently positive (k-log-convex on the
-    sampled set); probes inside SIGN_MARGIN + roundoff floor of zero count as
-    neither sign.
+    "rises" means confident positive probes and no confident negative one
+    (no witness against k-log-convexity on the sampled set); probes inside
+    SIGN_MARGIN + roundoff floor of zero count as neither sign.
     """
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
-    return _scan(params, grid or _DEFAULT_GRID, {k: (interval,)})[k][interval]
+    return _scan(params, {k: (interval,)})[k][interval]
 
 
-def four_log_sign_change_search(
-    params: HParams,
-    interval: Interval,
-    grid: GridSpec | None = None,
-) -> float | None:
+def four_log_sign_change_search(params: HParams, interval: Interval) -> float | None:
     """Locate a sign change of the 4th log-derivative on one half line.
 
     Rejects parameter sets with (alpha-beta)/(lam-mu) equal to 0 or, within
     the classifier's zero band, to 1: those are log-affine, and every higher
-    log-derivative vanishes identically.  Scans for adjacent grid points
-    with confident opposite signs, preferring the pair farthest above the
-    noise floor, then bisects to a relative bracket width of 1e-6.
-    Returns the crossing point or None.
+    log-derivative vanishes identically.  Scans the window's points on the
+    half line, t in [1e-3, 1e3], for adjacent points with confident
+    opposite signs, preferring the pair farthest above the noise floor,
+    then bisects to a relative bracket width of 1e-6.  Returns the crossing
+    point, or None when the window holds none.
     """
     if interval is Interval.WHOLE_LINE:
         raise ValueError("search runs on one half line at a time")
     convexity = classify_log_convexity_H(params)
     if convexity.ratio == 0.0 or convexity.kind is ConvexityKind.LOG_AFFINE:
         raise ValueError("log-affine parameters: order-4 log-derivative is identically 0")
-    if grid is None:
-        # crossings can sit outside the default window; widen before giving up
-        hit = four_log_sign_change_search(params, interval, _DEFAULT_GRID)
-        return hit if hit is not None else four_log_sign_change_search(
-            params, interval, _RETRY_GRID
-        )
-    ts = grid.points(interval)
+    ts = GridSpec().points(interval)
     a, b, l, m = params.as_tuple()
     est, bound = _kernels_py.log_deriv_h(a, b, l, m, ts, 4)
     confident = np.abs(est) > bound + SIGN_MARGIN
@@ -348,10 +305,6 @@ def four_log_sign_change_search(
 
 # ---------------------------------------------------------------------------
 # randomized cross-validation
-
-# wider, denser fallback grid used before declaring a contradiction on a
-# non-monotonic claim whose turning point may sit outside the default window
-_RETRY_GRID = GridSpec(t_min=1e-5, t_max=1e3, points_per_side=600)
 
 
 @dataclass
@@ -392,15 +345,16 @@ def _contradiction(params, check, claimed, oracle: OracleVerdict) -> dict:
     }
 
 
-def _check_one(params: HParams, grid: GridSpec) -> tuple[str, dict | None]:
-    """Compare every classifier verdict for one draw against grid scans.
+def _check_one(params: HParams) -> tuple[str, dict | None]:
+    """Compare every classifier verdict for one draw against window scans.
 
     Returns ("agree" | "skip" | "contradiction", detail).  A claimed
     monotone direction opposed by a confident witness is a contradiction;
     scans with no witnesses at all are boundary skips (ties are invisible at
-    grid resolution).  A non-monotonic claim needs witnesses both ways --
-    the conditions are if-and-only-if -- but gets a second look on a wider
-    grid first, since its turning point may fall outside the default window.
+    grid resolution).  A non-monotonic claim needs witnesses both ways: the
+    conditions are if-and-only-if, and (ln|H|)' changes sign at most once,
+    so the one window, t = 0 and the decades down to 1e-8 hold a probe on
+    each side of the turning point.
     """
     report = classify_H(params)
     skip = bool(report.zero_band_hits)
@@ -411,7 +365,7 @@ def _check_one(params: HParams, grid: GridSpec) -> tuple[str, dict | None]:
         wanted[2] = (Interval.WHOLE_LINE,)
     if third is not ThirdOrderKind.NOT_COVERED:
         wanted[3] = (Interval.POSITIVE_HALF_LINE, Interval.NEGATIVE_HALF_LINE)
-    scans = _scan(params, grid, wanted)
+    scans = _scan(params, wanted)
 
     for interval in Interval:
         claimed = report.monotonicity[interval].direction
@@ -423,9 +377,7 @@ def _check_one(params: HParams, grid: GridSpec) -> tuple[str, dict | None]:
             return "contradiction", _contradiction(params, tag, claimed.value, oracle)
         if claimed is Direction.NON_MONOTONIC:
             if not (oracle.rises and oracle.falls):
-                retry = grid_monotonicity_check(params, interval, _RETRY_GRID)
-                if not (retry.rises and retry.falls):
-                    return "contradiction", _contradiction(params, tag, claimed.value, retry)
+                return "contradiction", _contradiction(params, tag, claimed.value, oracle)
         elif not (oracle.rises or oracle.falls):
             skip = True  # flat at grid resolution: cannot confirm or deny
 
@@ -449,27 +401,24 @@ def _check_one(params: HParams, grid: GridSpec) -> tuple[str, dict | None]:
     return ("skip" if skip else "agree"), None
 
 
-def cross_validate(
-    draws: int, seed: int = 0, grid: GridSpec | None = None
-) -> CrossValidationReport:
+def cross_validate(draws: int, seed: int = 0) -> CrossValidationReport:
     """Random-draw comparison of the closed-form classifier against the oracle.
 
     Each draw (uniform on [-5,5]^4, rejecting tuples with any pairwise gap
     below 0.05) is classified and then checked: monotonicity on all three
-    intervals by grid scan, log-convexity by order-2 sign scan, third-order
+    intervals by window scan, log-convexity by order-2 sign scan, third-order
     verdicts by order-3 sign scans on each half line.  Deterministic for a
-    given (draws, seed, grid); the report satisfies
+    given (draws, seed); the report satisfies
     draws == agreements + boundary_skips + len(contradictions).
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
     rng = np.random.default_rng(seed)
-    grid = grid or _DEFAULT_GRID
     report = CrossValidationReport()
     for _ in range(draws):
         params = _draw_params(rng)
         report.draws += 1
-        kind, detail = _check_one(params, grid)
+        kind, detail = _check_one(params)
         if kind == "agree":
             report.agreements += 1
         elif kind == "skip":

@@ -120,6 +120,15 @@ class TestEval:
         assert doc["function"] == "G"
         assert doc["rows"][0]["value"] == pytest.approx(1.0, rel=1e-12)
 
+    def test_json_both_differences_beyond_range(self, capsys):
+        # 2t and 3t overflow at t = 1e308; H = (e^{2t} - 1)/(e^{3t} - 1) is 0
+        code, out, _ = run_cli(
+            capsys, "eval", "H", "2", "0", "3", "0", "--t", "1e308", "--format", "json"
+        )
+        assert code == 0
+        assert "NaN" not in out
+        assert json.loads(out)["rows"] == [{"t": 1e308, "value": 0.0}]
+
 
 class TestClassify:
     def test_text_report(self, capsys):

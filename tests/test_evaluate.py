@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -308,6 +309,18 @@ class TestOverflowSafety:
         assert eval_H(HParams(1000.5, 1000, 1001, 1000), 1e306) == 0.0
         assert eval_H(HParams(-2, -3, -2.5, -3), 1e308) == math.inf
         assert eval_H_signed_log(HParams(1000.5, 1000, 1001, 1000), 1e306).log_mag < -1e305
+
+    def test_both_differences_beyond_range(self):
+        # (alpha - beta) t and (lam - mu) t both overflow; H = (e^{2t} - 1) /
+        # (e^{3t} - 1) is e^{-t} there for t > 0 and 1 for t < 0
+        p = HParams(2, 0, 3, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert eval_H(p, 1e308) == 0.0
+            assert eval_H(p, -1e308) == 1.0
+            assert log_abs_H_grid(p, np.array([1e308]))[0] == -1e308
+            signed = eval_H_signed_log(p, 1e308)
+            assert (signed.sign, signed.log_mag) == (1, -1e308)
 
     def test_no_nan_anywhere(self, rng):
         for p in random_hparams(rng, 10):

@@ -111,6 +111,16 @@ def test_huge_difference_no_overflow(d):
         assert log_deriv_H(HParams(d, 0, 1, 0), 1.0, k) == value
 
 
+@pytest.mark.parametrize("d", [1e120, 1e200])
+def test_odd_orders_zero_at_origin_past_overflow(d):
+    # |d|^3 overflows; the series term u^1 |d|^3 is 0 * inf at t = 0, but
+    # odd orders vanish there exactly, value and bound alike
+    for t in (0.0, np.array([0.0])):
+        out = log_derivs_h(d, 0.0, 1.0, 0.0, t, (1, 3))
+        assert np.all(out[3][0] == 0.0) and np.all(out[3][1] == 0.0)
+        assert np.all(out[1][0] == 0.5 * (d - 1.0)) and np.all(np.isfinite(out[1][1]))
+
+
 def test_exact_zeros():
     rng = np.random.default_rng(3)
     for p in random_hparams(rng, 20):

@@ -17,7 +17,6 @@ from expratio import (
 from expratio import _kernels_py
 from expratio.cli import main as cli_main
 from expratio.oracle import (
-    _RETRY_GRID,
     SIGN_MARGIN,
     _check_one,
     _scan,
@@ -30,54 +29,52 @@ from conftest import mp_log_deriv_H, random_hparams
 E = math.e
 
 
-class TestGridSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GridSpec(t_min=0.0)
-        with pytest.raises(ValueError):
-            GridSpec(t_min=2.0, t_max=1.0)
-        with pytest.raises(ValueError):
-            GridSpec(points_per_side=4)
+_WINDOW = np.geomspace(1e-3, 1e3, 200)
+_DECADES = 10.0 ** np.arange(-8, -3)
 
+
+class TestGridSpec:
     def test_sides(self):
-        g = GridSpec(t_min=1e-2, t_max=1.0, points_per_side=10)
-        pos = g.side(True)
-        neg = g.side(False)
-        assert pos[0] == pytest.approx(1e-2) and pos[-1] == pytest.approx(1.0)
+        g = GridSpec()
+        pos = g.points(Interval.POSITIVE_HALF_LINE)
+        neg = g.points(Interval.NEGATIVE_HALF_LINE)
+        assert np.array_equal(pos, _WINDOW)
+        assert pos[0] == 1e-3 and pos[-1] == pytest.approx(1e3)
         assert np.all(np.diff(pos) > 0) and np.all(np.diff(neg) > 0)
-        assert np.allclose(neg, -pos[::-1])
+        assert np.array_equal(neg, -pos[::-1])
 
     def test_negative_always_scanned(self):
-        # no switch for t < 0: every grid covers both half lines
+        # no switch for t < 0, and no other knob: the window is fixed
         with pytest.raises(TypeError):
             GridSpec(include_negative=False)
-        g = GridSpec(t_min=1e-2, t_max=1.0, points_per_side=10)
+        with pytest.raises(TypeError):
+            GridSpec(t_max=10.0)
+        g = GridSpec()
         whole = g.points(Interval.WHOLE_LINE)
-        assert np.array_equal(whole, np.concatenate([g.side(False), g.side(True)]))
-        # H = 1/(1 + e^t) falls everywhere: every probe t < 0 is a witness,
-        # the 6 decades 1e-8..1e-3 below t_min included
-        v = grid_monotonicity_check(HParams(1, 0, 2, 0), Interval.NEGATIVE_HALF_LINE, g)
-        assert v.direction == "falls" and v.fall_count == 10 + 6
+        assert np.array_equal(whole, np.concatenate([-_WINDOW[::-1], _WINDOW]))
+        # H = 1/(1 + e^t) falls everywhere; (ln H)' = -1/(1 + e^{-t}) decays
+        # below the noise cut far out on t < 0, and those probes oppose
+        # nothing: the verdict stays "falls"
+        v = grid_monotonicity_check(HParams(1, 0, 2, 0), Interval.NEGATIVE_HALF_LINE)
+        assert v.direction == "falls" and v.rise_count == 0
+        assert 5 < v.fall_count < 5 + 200
 
-    @pytest.mark.parametrize("t_min, decades", [(1e-3, 5), (1e-5, 3), (0.02, 7), (1e-8, 0)])
-    def test_probes(self, t_min, decades):
-        g = GridSpec(t_min=t_min, t_max=10.0, points_per_side=12)
-        ts, first, higher = g._probes
+    def test_probes(self):
+        ts, first, higher = GridSpec._probes
+        assert ts.size == 411
         pos = ts[first[Interval.POSITIVE_HALF_LINE]]
-        assert np.array_equal(pos[:decades], 10.0 ** np.arange(-8, -8 + decades))
-        assert np.array_equal(pos[decades:], g.side(True))
+        assert np.array_equal(pos, np.concatenate([_DECADES, _WINDOW]))
         assert np.array_equal(ts[first[Interval.NEGATIVE_HALF_LINE]], -pos[::-1])
         assert np.array_equal(ts[first[Interval.WHOLE_LINE]],
                               np.concatenate([-pos[::-1], [0.0], pos]))
         for interval in Interval:
-            assert np.array_equal(ts[higher[interval]], g.points(interval))
-        assert g._probes[0] is ts and not ts.flags.writeable
+            assert np.array_equal(ts[higher[interval]], GridSpec().points(interval))
+        assert GridSpec()._probes[0] is ts and not ts.flags.writeable
 
     @pytest.mark.parametrize("interval", list(Interval))
     def test_points_built_once_read_only(self, interval):
-        g = GridSpec()
-        pts = g.points(interval)
-        assert g.points(interval) is pts
+        pts = GridSpec().points(interval)
+        assert GridSpec().points(interval) is pts
         assert not pts.flags.writeable
         with pytest.raises(ValueError):
             pts[0] = 1.0
@@ -158,16 +155,6 @@ class TestGridMonotonicity:
         # the fall witness sits near the origin, the rise witness beyond it
         rise_t, fall_t = v.witness_points[0], v.witness_points[1]
         assert fall_t < 1.0 < rise_t
-
-    def test_density_never_flips(self, rng):
-        for p in random_hparams(rng, 15):
-            for interval in Interval:
-                v1 = grid_monotonicity_check(p, interval, GridSpec())
-                v2 = grid_monotonicity_check(p, interval, GridSpec(points_per_side=400))
-                if v1.direction == "rises":
-                    assert not v2.falls
-                if v1.direction == "falls":
-                    assert not v2.rises
 
 
 class TestKlogSignCheck:
@@ -267,29 +254,18 @@ def _family_draws(family: str, n: int, seed: int) -> list[HParams]:
 def test_boundary_families_clean(family):
     # rounding puts these draws on either side of the boundary, so the
     # classifier must flag them through its zero band rather than guess
-    grid = GridSpec()
     draws = _family_draws(family, 300, seed=5)
-    bad = [p for p in draws if _check_one(p, grid)[0] == "contradiction"]
+    bad = [p for p in draws if _check_one(p)[0] == "contradiction"]
     assert bad == [], f"{len(bad)}/300 contradictions, first {bad[0].as_tuple()}"
 
 
 # ---------------------------------------------------------------------------
 # fused scans against scans of one interval alone
 
-_SCAN_GRIDS = {
-    "default": GridSpec(),
-    "retry": _RETRY_GRID,
-    "custom37": GridSpec(t_min=0.02, t_max=3.0, points_per_side=37),
-}
-
-
-def _reference_points(grid: GridSpec, interval: Interval, k: int) -> np.ndarray:
-    """The grid's probes on one interval.  Order 1 adds a t per decade from
-    1e-8 up to below t_min on each side, and t = 0 on the whole line."""
-    pos = np.geomspace(grid.t_min, grid.t_max, grid.points_per_side)
-    if k == 1:
-        below = [j for j in range(-8, 0) if j < math.log10(grid.t_min)]
-        pos = np.concatenate([10.0 ** np.array(below, dtype=float), pos])
+def _reference_points(interval: Interval, k: int) -> np.ndarray:
+    """The window's probes on one interval.  Order 1 adds a t per decade
+    from 1e-8 to 1e-4 on each side, and t = 0 on the whole line."""
+    pos = np.concatenate([_DECADES, _WINDOW]) if k == 1 else _WINDOW
     neg = -pos[::-1]
     if interval is Interval.POSITIVE_HALF_LINE:
         return pos
@@ -299,7 +275,8 @@ def _reference_points(grid: GridSpec, interval: Interval, k: int) -> np.ndarray:
 
 
 def _reference_aggregate(ts, probes, cuts):
-    """Witness tallies of one probe vector, written out directly."""
+    """Witness tallies of one probe vector, written out directly; the
+    direction is that of the unopposed witnesses."""
     up = probes > cuts
     dn = probes < -cuts
     n_up, n_dn = int(up.sum()), int(dn.sum())
@@ -311,19 +288,19 @@ def _reference_aggregate(ts, probes, cuts):
     if n_up and n_dn:
         direction = "both"
         max_violation = float(min(np.max(probes[up]), -np.min(probes[dn])))
-    elif n_up == len(probes):
+    elif n_up:
         direction, max_violation = "rises", 0.0
-    elif n_dn == len(probes):
+    elif n_dn:
         direction, max_violation = "falls", 0.0
     else:
         direction, max_violation = "flat", 0.0
     return (direction, n_up, n_dn, max_violation, tuple(witnesses))
 
 
-def _reference_scan(p: HParams, interval: Interval, k: int, grid: GridSpec):
+def _reference_scan(p: HParams, interval: Interval, k: int):
     """One kernel call on that interval's probes only; order 1 signed by H."""
     a, b, l, m = p.as_tuple()
-    ts = _reference_points(grid, interval, k)
+    ts = _reference_points(interval, k)
     value, bound = _kernels_py.log_deriv_h(a, b, l, m, ts, k)
     if k == 1:
         value = value * (1.0 if (a - b) * (l - m) > 0 else -1.0)
@@ -341,22 +318,20 @@ def _scan_draws() -> list[HParams]:
     return draws
 
 
-@pytest.mark.parametrize("grid_name", sorted(_SCAN_GRIDS))
-def test_fused_scans_match_single_interval_scans(grid_name):
-    grid = _SCAN_GRIDS[grid_name]
+def test_fused_scans_match_single_interval_scans():
     everything = {k: tuple(Interval) for k in (1, 2, 3)}
     for p in _scan_draws():
-        fused = _scan(p, grid, everything)
+        fused = _scan(p, everything)
         for k in (1, 2, 3):
             for interval in Interval:
-                want = _reference_scan(p, interval, k, grid)
+                want = _reference_scan(p, interval, k)
                 assert _as_tuple(fused[k][interval]) == want, (p, interval, k)
                 # a pass for fewer orders and intervals reads the same values
-                assert _scan(p, grid, {k: (interval,)})[k][interval] == fused[k][interval]
+                assert _scan(p, {k: (interval,)})[k][interval] == fused[k][interval]
                 if k == 1:
-                    public = grid_monotonicity_check(p, interval, grid)
+                    public = grid_monotonicity_check(p, interval)
                 else:
-                    public = grid_klog_sign_check(p, interval, k, grid)
+                    public = grid_klog_sign_check(p, interval, k)
                 assert public == fused[k][interval], (p, interval, k)
 
 
@@ -372,17 +347,17 @@ def test_verdicts_match_reference(rng):
 
 
 # ---------------------------------------------------------------------------
-# a turning point below the default grid (ROADMAP Direction B, seed 2)
+# a turning point below the window (ROADMAP Direction B, seed 2)
 
 _SEED2_DRAW = HParams(2.8326828332840206, -3.461759854109924,
                       -0.049147016002110355, -0.5798318411724512)
 
 
 def test_seed2_turning_point_seen():
-    # A = -6.2e-4: H falls on (0, ~1.4e-5) and rises beyond.  The default
-    # grid starts at 1e-3; the decade probes below it see the fall.
+    # A = -6.2e-4: H falls on (0, ~1.4e-5) and rises beyond.  The window
+    # starts at 1e-3; the decade probes below it see the fall.
     for p in (_SEED2_DRAW, HParams(2.8327, -3.4618, -0.0491, -0.5798)):
-        assert _check_one(p, GridSpec())[0] != "contradiction", p.as_tuple()
+        assert _check_one(p)[0] != "contradiction", p.as_tuple()
     v = grid_monotonicity_check(_SEED2_DRAW, Interval.POSITIVE_HALF_LINE)
     assert v.direction == "both"
     assert v.witness_points[1] < 1e-4 < v.witness_points[0]
@@ -391,3 +366,35 @@ def test_seed2_turning_point_seen():
 def test_verify_seed2_clean(capsys):
     assert cli_main(["verify", "--draws", "400", "--seed", "2"]) == 0
     assert "contradictions=0" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# turning points and crossings past t = 10, the end of the former window
+
+_SEED216_DRAW = HParams(-4.363405798048578, 2.924198127285969,
+                        2.8648272921954803, 2.788579499016702)
+
+
+def test_seed216_turning_point_in_window():
+    # verify --seed 216, draw 597: claimed non-monotonic on (0, inf) and on
+    # the whole line; (ln|H|)' turns at t ~ 11, inside [1e-3, 1e3]
+    for interval in (Interval.POSITIVE_HALF_LINE, Interval.WHOLE_LINE):
+        v = grid_monotonicity_check(_SEED216_DRAW, interval)
+        assert v.direction == "both", (interval, v)
+        assert min(v.witness_points) < 11.0 < max(v.witness_points)
+    assert _check_one(_SEED216_DRAW) == ("agree", None)
+
+
+def test_verify_seed216_clean(capsys):
+    assert cli_main(["verify", "--draws", "1000", "--seed", "216"]) == 0
+    assert "contradictions=0" in capsys.readouterr().out
+
+
+def test_four_log_crossing_past_ten():
+    p = HParams(0.09684671671694733, 0.1756463275143041,
+                -1.0535945806204037, -0.9667066109285187)
+    t_star = four_log_sign_change_search(p, Interval.POSITIVE_HALF_LINE)
+    assert t_star == pytest.approx(25.83, abs=0.01)
+    lo = log_deriv_H(p, t_star * (1 - 1e-4), 4)
+    hi = log_deriv_H(p, t_star * (1 + 1e-4), 4)
+    assert lo * hi < 0
