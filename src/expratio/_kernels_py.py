@@ -173,7 +173,10 @@ def _e_derivs(d, s, orders):
     odd = [i for i, k in enumerate(orders) if k % 2]
     if odd:
         ser[odd] *= us
-    ser *= dc ** np.array(orders, dtype=np.float64)[:, None, None]
+    # one power per order: np.power over a stacked (orders, d) block rounds
+    # some elements differently with the block's length, and a value must
+    # not depend on which other orders were asked for
+    ser *= np.stack([dc ** k for k in orders])
     # u > 1: with q = e^{-u}, r = 1/(1 - q), coth(u/2) = (1 + q) r and
     # 1/(4 sinh^2(u/2)) = q r^2, each d^k e^(k) is a difference P - N of
     # nonnegative parts.  d^k enters them as d^k / u^k = 1/|t|^k and

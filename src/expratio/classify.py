@@ -18,9 +18,10 @@ as 0.  Each invariant gets its band sign (-1, 0 or +1, band from
 ratio (a-b)/(l-m) is compared with 1 in one place,
 ``classify_log_convexity_H``, where |ratio - 1| <= ZERO_BAND_EPS is
 log-affine, and the third-order verdict follows from that answer.  Band
-hits, ``"ratio"`` among them, are reported in ``zero_band_hits``.  Q and P
-are adapters over ``classify_H``: Q(alpha, beta) is H(-alpha, -beta, 0, -1)
-and P is H of the logarithms of its bases.
+hits, the invariants whose band sign is 0 and ``"ratio"``, are reported in
+``zero_band_hits``.  Q and P are adapters over ``classify_H``:
+Q(alpha, beta) is H(-alpha, -beta, 0, -1) and P is H of the logarithms of
+its bases.
 
 Useful algebraic facts, relied on by the consistency checks:
 C - B = D - E = 2 (a-b)|a-b|, and B + D = C + E = 2A, so the whole-line
@@ -315,7 +316,7 @@ def classify_H(params: HParams) -> ClassificationReport:
             verdict = _NON_MONOTONIC
         mono[interval] = verdict
     convexity = classify_log_convexity_H(params)
-    hits = tuple(name for name in _TESTED[lam_gt_mu] if abs(values[name]) < band)
+    hits = tuple(name for name in _TESTED[lam_gt_mu] if signs[name] == 0)
     if convexity.kind is ConvexityKind.LOG_AFFINE:
         hits += ("ratio",)
     return ClassificationReport(

@@ -12,12 +12,14 @@ k = 1) with phi(x) = ln((e^x - 1)/x): exact up to rounding, regular at
 t = 0, and returned with its roundoff floor.  A probe counts as a witness
 only beyond SIGN_MARGIN plus that floor.
 
-Every scan reads one probe window (``GridSpec``): 200 log-spaced
-magnitudes in [1e-3, 1e3] on each side of 0, plus, for monotonicity, t = 0
-and one t per decade from 1e-8 to 1e-4, 411 probes in all.  ln|H| is
-convex, concave or affine, so (ln|H|)' changes sign at most once and one
-probe on each side of its turning point confirms a non-monotonic verdict;
-there is no second, wider grid to retry on.
+Every scan, of any order, reads one probe set (``GridSpec``): 200
+log-spaced magnitudes in [1e-3, 1e3] and one t per decade from 1e-8 to
+1e-4 on each side of 0, and t = 0, 411 probes in all.  ln|H| is convex,
+concave or affine, so (ln|H|)' changes sign at most once and one probe on
+each side of its turning point confirms a non-monotonic verdict; there is
+no second, wider grid to retry on.  Each classifier verdict is a claimed
+sign of one log-derivative on one interval, and one rule checks every
+claim (``_check_one``).
 
 ``numeric_log_derivative`` stays as the independent finite-difference check
 of those values: central differences through the kernel's noise-controlled
@@ -67,41 +69,32 @@ DEFAULT_STEPS = {1: 1e-4, 2: 1e-4, 3: 4e-3, 4: 1e-2}
 SIGN_MARGIN = 1e-8
 
 
-def _probe_window() -> tuple[tuple[np.ndarray, dict, dict], dict]:
-    """Scan probes with each interval's selection of them for order 1 (the
-    decades 1e-8..1e-4 and the window on each side, with t = 0 on the whole
-    line) and for higher orders (the window alone); and the window's points
-    on each interval, all read-only."""
+def _probe_window() -> tuple[np.ndarray, dict, dict]:
+    """Scan probes, each interval's slice of them, and each interval's
+    points, all read-only: the window on each side, the decades 1e-8..1e-4
+    below it, and t = 0 on the whole line."""
     # turning points close to the origin sit below the window when an
     # invariant is near 0; one probe per decade sees them
-    decades = 10.0 ** np.arange(-8, -3)
-    mags = np.concatenate([decades, np.geomspace(1e-3, 1e3, 200)])
+    mags = np.concatenate([10.0 ** np.arange(-8, -3), np.geomspace(1e-3, 1e3, 200)])
     ts = np.concatenate([-mags[::-1], [0.0], mags])
     ts.flags.writeable = False
-    n, n_dec = len(mags), len(decades)
-    first_order = {
+    n = len(mags)
+    parts = {
         Interval.POSITIVE_HALF_LINE: slice(n + 1, None),
         Interval.NEGATIVE_HALF_LINE: slice(0, n),
         Interval.WHOLE_LINE: slice(None),
     }
-    neg, pos = slice(0, n - n_dec), slice(n + 1 + n_dec, 2 * n + 1)
-    higher_order = {
-        Interval.POSITIVE_HALF_LINE: pos,
-        Interval.NEGATIVE_HALF_LINE: neg,
-        Interval.WHOLE_LINE: np.r_[neg, pos],
-    }
-    points = {iv: ts[s] for iv, s in higher_order.items()}
-    points[Interval.WHOLE_LINE].flags.writeable = False
-    return (ts, first_order, higher_order), points
+    return ts, parts, {iv: ts[s] for iv, s in parts.items()}
 
 
 class GridSpec:
-    """The oracle's one probe window: 200 log-spaced magnitudes in
-    [1e-3, 1e3], mirrored to t < 0; the monotonicity scans add t = 0 and
-    the decades 1e-8..1e-4, 411 probes in all.  Built once at import, so
+    """The oracle's one probe set: 200 log-spaced magnitudes in [1e-3, 1e3]
+    and one per decade from 1e-8 to 1e-4, mirrored to t < 0, with t = 0 on
+    the whole line; 411 probes in all.  Every scan order and the four-log
+    search read the same probes on an interval.  Built once at import, so
     every instance hands out the same read-only arrays."""
 
-    _probes, _points = _probe_window()
+    _ts, _parts, _points = _probe_window()
 
     def points(self, interval: Interval) -> np.ndarray:
         return self._points[interval]
@@ -220,16 +213,16 @@ def numeric_log_derivative(
 def _scan(
     params: HParams, wanted: dict[int, tuple[Interval, ...]]
 ) -> dict[int, dict[Interval, OracleVerdict]]:
-    """Sign scans of the order-k log-derivatives over the window's probes,
+    """Sign scans of the order-k log-derivatives over GridSpec's probes,
     for the intervals wanted[k], from one kernel pass for all orders.
+    Every order reads the same probes on an interval.
 
     Order 1 is scanned as sign(H) * (ln|H|)', the derivative of
     sign(H) * ln|H|, which is monotone in t exactly when H is, because
-    sign(H) = sign((alpha-beta)(lam-mu)) is constant in t; it also reads
-    t = 0 (whole line) and the decades below the window.  A probe is a
+    sign(H) = sign((alpha-beta)(lam-mu)) is constant in t.  A probe is a
     witness beyond SIGN_MARGIN plus the kernel's roundoff floor.
     """
-    ts, first_order, higher_order = GridSpec._probes
+    ts, parts = GridSpec._ts, GridSpec._parts
     a, b, l, m = params.as_tuple()
     derivs = _kernels_py.log_derivs_h(a, b, l, m, ts, tuple(wanted))
     out = {}
@@ -237,19 +230,19 @@ def _scan(
         value, bound = derivs[k]
         if k == 1 and _kernels_py.h_sign(a, b, l, m) < 0.0:
             value = -value
-        parts = first_order if k == 1 else higher_order
         out[k] = _verdicts(ts, value, SIGN_MARGIN + bound, {iv: parts[iv] for iv in intervals})
     return out
 
 
 def grid_monotonicity_check(params: HParams, interval: Interval) -> OracleVerdict:
     """Scan for rise/fall witnesses of H on the interval: the sign of
-    sign(H) * (ln|H|)' on the window's probes."""
+    sign(H) * (ln|H|)' on GridSpec's probes."""
     return _scan(params, {1: (interval,)})[1][interval]
 
 
 def grid_klog_sign_check(params: HParams, interval: Interval, k: int) -> OracleVerdict:
-    """Sign scan of the order-k log-derivative over the window.
+    """Sign scan of the order-k log-derivative over GridSpec's probes on the
+    interval, the same probes the monotonicity scan reads.
 
     "rises" means confident positive probes and no confident negative one
     (no witness against k-log-convexity on the sampled set); probes inside
@@ -265,11 +258,11 @@ def four_log_sign_change_search(params: HParams, interval: Interval) -> float | 
 
     Rejects parameter sets with (alpha-beta)/(lam-mu) equal to 0 or, within
     the classifier's zero band, to 1: those are log-affine, and every higher
-    log-derivative vanishes identically.  Scans the window's points on the
-    half line, t in [1e-3, 1e3], for adjacent points with confident
+    log-derivative vanishes identically.  Scans GridSpec's points on the
+    half line, |t| from 1e-8 to 1e3, for adjacent points with confident
     opposite signs, preferring the pair farthest above the noise floor,
     then bisects to a relative bracket width of 1e-6.  Returns the crossing
-    point, or None when the window holds none.
+    point, or None when the probes show none.
     """
     if interval is Interval.WHOLE_LINE:
         raise ValueError("search runs on one half line at a time")
@@ -345,59 +338,58 @@ def _contradiction(params, check, claimed, oracle: OracleVerdict) -> dict:
     }
 
 
-def _check_one(params: HParams) -> tuple[str, dict | None]:
-    """Compare every classifier verdict for one draw against window scans.
+# the sign each verdict claims for its log-derivative on every probe (0:
+# witnesses of both signs); a third-order kind gives the sign on (0, inf),
+# and (-inf, 0) has the other
+_SIGNS = {
+    Direction.INCREASING: 1,
+    Direction.DECREASING: -1,
+    Direction.NON_MONOTONIC: 0,
+    ConvexityKind.LOG_CONVEX: 1,
+    ConvexityKind.LOG_CONCAVE: -1,
+    ThirdOrderKind.CONVEX_POS_CONCAVE_NEG: 1,
+    ThirdOrderKind.CONCAVE_POS_CONVEX_NEG: -1,
+}
 
-    Returns ("agree" | "skip" | "contradiction", detail).  A claimed
-    monotone direction opposed by a confident witness is a contradiction;
-    scans with no witnesses at all are boundary skips (ties are invisible at
-    grid resolution).  A non-monotonic claim needs witnesses both ways: the
-    conditions are if-and-only-if, and (ln|H|)' changes sign at most once,
-    so the one window, t = 0 and the decades down to 1e-8 hold a probe on
-    each side of the turning point.
+
+def _check_one(params: HParams) -> tuple[str, dict | None]:
+    """Check every classifier verdict for one draw against GridSpec scans.
+
+    Returns ("agree" | "skip" | "contradiction", detail).  Each verdict is
+    a claim (order, interval, sign, check tag, claimed value), and one rule
+    checks every claim: a confident opposing probe is a contradiction; a
+    non-monotonic claim (sign 0) without witnesses of both signs is one
+    too; a signed claim with no confirming probe makes the draw a boundary
+    skip (a tie is invisible at probe resolution), as does a zero-band hit.
+    The conditions are if-and-only-if, and (ln|H|)' changes sign at most
+    once, so the probes hold one on each side of a turning point.
     """
     report = classify_H(params)
-    skip = bool(report.zero_band_hits)
-    kind = report.convexity.kind
-    third = report.third_order.kind
-    wanted = {1: tuple(Interval)}
-    if kind in (ConvexityKind.LOG_CONVEX, ConvexityKind.LOG_CONCAVE):
-        wanted[2] = (Interval.WHOLE_LINE,)
-    if third is not ThirdOrderKind.NOT_COVERED:
-        wanted[3] = (Interval.POSITIVE_HALF_LINE, Interval.NEGATIVE_HALF_LINE)
+    claims = []
+    for interval in Interval:
+        direction = report.monotonicity[interval].direction
+        claims.append((1, interval, _SIGNS[direction], f"monotonicity {interval.value}",
+                       direction.value))
+    convexity, third = report.convexity.kind, report.third_order.kind
+    if convexity in _SIGNS:  # log-affine and not-covered claim no sign
+        claims.append((2, Interval.WHOLE_LINE, _SIGNS[convexity], "log-convexity",
+                       convexity.value))
+    if third in _SIGNS:
+        claims.append((3, Interval.POSITIVE_HALF_LINE, _SIGNS[third], "3-log (0,inf)", third.value))
+        claims.append((3, Interval.NEGATIVE_HALF_LINE, -_SIGNS[third], "3-log (-inf,0)", third.value))
+    wanted: dict[int, tuple[Interval, ...]] = {}
+    for order, interval, *_ in claims:
+        wanted[order] = wanted.get(order, ()) + (interval,)
     scans = _scan(params, wanted)
 
-    for interval in Interval:
-        claimed = report.monotonicity[interval].direction
-        oracle = scans[1][interval]
-        tag = f"monotonicity {interval.value}"
-        if claimed is Direction.INCREASING and oracle.falls:
-            return "contradiction", _contradiction(params, tag, claimed.value, oracle)
-        if claimed is Direction.DECREASING and oracle.rises:
-            return "contradiction", _contradiction(params, tag, claimed.value, oracle)
-        if claimed is Direction.NON_MONOTONIC:
-            if not (oracle.rises and oracle.falls):
-                return "contradiction", _contradiction(params, tag, claimed.value, oracle)
-        elif not (oracle.rises or oracle.falls):
-            skip = True  # flat at grid resolution: cannot confirm or deny
-
-    if 2 in scans:
-        oracle = scans[2][Interval.WHOLE_LINE]
-        if kind is ConvexityKind.LOG_CONVEX and oracle.falls:
-            return "contradiction", _contradiction(params, "log-convexity", kind.value, oracle)
-        if kind is ConvexityKind.LOG_CONCAVE and oracle.rises:
-            return "contradiction", _contradiction(params, "log-convexity", kind.value, oracle)
-
-    if 3 in scans:
-        pos, neg = scans[3][Interval.POSITIVE_HALF_LINE], scans[3][Interval.NEGATIVE_HALF_LINE]
-        convex_pos = third is ThirdOrderKind.CONVEX_POS_CONCAVE_NEG
-        bad_pos = pos.falls if convex_pos else pos.rises
-        bad_neg = neg.rises if convex_pos else neg.falls
-        if bad_pos:
-            return "contradiction", _contradiction(params, "3-log (0,inf)", third.value, pos)
-        if bad_neg:
-            return "contradiction", _contradiction(params, "3-log (-inf,0)", third.value, neg)
-
+    skip = bool(report.zero_band_hits)
+    for order, interval, sign, check, claimed in claims:
+        oracle = scans[order][interval]
+        confirms, opposes = (oracle.falls, oracle.rises) if sign < 0 else (oracle.rises, oracle.falls)
+        contradicted = opposes if sign else not (confirms and opposes)
+        if contradicted:
+            return "contradiction", _contradiction(params, check, claimed, oracle)
+        skip = skip or not confirms
     return ("skip" if skip else "agree"), None
 
 
@@ -406,7 +398,7 @@ def cross_validate(draws: int, seed: int = 0) -> CrossValidationReport:
 
     Each draw (uniform on [-5,5]^4, rejecting tuples with any pairwise gap
     below 0.05) is classified and then checked: monotonicity on all three
-    intervals by window scan, log-convexity by order-2 sign scan, third-order
+    intervals by order-1 scan, log-convexity by order-2 sign scan, third-order
     verdicts by order-3 sign scans on each half line.  Deterministic for a
     given (draws, seed); the report satisfies
     draws == agreements + boundary_skips + len(contradictions).

@@ -168,15 +168,3 @@ class SignedLogValue:
             return self.sign * math.exp(self.log_mag)
         except OverflowError:
             return self.sign * math.inf
-
-    def __mul__(self, other: "SignedLogValue") -> "SignedLogValue":
-        if self.sign == 0 or other.sign == 0:
-            return SignedLogValue(0, -math.inf)
-        return SignedLogValue(self.sign * other.sign, self.log_mag + other.log_mag)
-
-    def __truediv__(self, other: "SignedLogValue") -> "SignedLogValue":
-        if other.sign == 0:
-            raise ZeroDivisionError("SignedLogValue division by zero")
-        if self.sign == 0:
-            return SignedLogValue(0, -math.inf)
-        return SignedLogValue(self.sign * other.sign, self.log_mag - other.log_mag)

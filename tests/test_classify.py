@@ -211,9 +211,18 @@ class TestZeroBandAtHugeScale:
                 p = HParams(a, b, l, m)
                 width = 1e-12 * max(1.0, abs(a), abs(b), abs(l), abs(m)) ** 2
                 inv = compute_invariants(p).as_dict()
-                want = tuple(n for n in tested[l > m] if abs(inv[n]) < width)
+                want = tuple(n for n in tested[l > m] if abs(inv[n]) <= width)
                 got = tuple(h for h in classify_H(p).zero_band_hits if h != "ratio")
                 assert got == want, p
+
+
+    def test_hit_at_band_edge(self):
+        # |A| equals the band width exactly: its band sign is 0, so it is a
+        # hit, by the same rule that decides the verdicts
+        p = HParams(1, 0, 1, -1e-12)
+        report = classify_H(p)
+        assert report.invariants.A == zero_band_width(p) == 1e-12
+        assert report.zero_band_hits == ("A", "C")
 
 
 class TestConvexity:

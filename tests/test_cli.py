@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import expratio
 from expratio import (
     GFParams,
     HParams,
@@ -302,3 +307,17 @@ class TestTable:
         doc = json.loads(out)
         assert len(doc) == 12
         assert doc[0]["constraints"] == {"A": ">=0", "C": ">=0"}
+
+
+def test_python_m_expratio_prints_golden_table():
+    # run the package as a module in a fresh interpreter, importing it from
+    # the same tree as this test run
+    src = str(Path(expratio.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-m", "expratio", "table", "--format", "csv"],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    golden = Path(__file__).parent / "data" / "table_golden.csv"
+    assert out == golden.read_text()

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from expratio import HParams, log_deriv_H
-from expratio._kernels_py import log_deriv_h, log_derivs_h
+from expratio._kernels_py import _BOUND_ULPS, _e_derivs, log_deriv_h, log_derivs_h
 from expratio.params import ParameterError
 
 from conftest import mp_log_deriv_H, random_hparams
@@ -162,6 +162,19 @@ def test_vector_matches_scalar_and_single_orders():
             assert log_deriv_H(p, float(t), k) == value[i]
 
 
+def test_values_independent_of_orders_asked(rng):
+    # an order's values are the same bits whichever other orders share the
+    # pass, so a scan reads the same probes whatever else _check_one wants
+    half = np.geomspace(1e-8, 1e3, 60)
+    ts = np.concatenate([-half[::-1], [0.0], half])
+    for p in random_hparams(rng, 40):
+        fused = log_derivs_h(*p.as_tuple(), ts, ORDERS)
+        for k in ORDERS:
+            value, bound = log_derivs_h(*p.as_tuple(), ts, (k,))[k]
+            assert np.array_equal(value, fused[k][0]), (p, k)
+            assert np.array_equal(bound, fused[k][1]), (p, k)
+
+
 def test_order_validation():
     with pytest.raises(ValueError):
         log_deriv_h(1.0, 0.0, 2.0, 0.0, 0.5, 5)
@@ -171,3 +184,49 @@ def test_order_validation():
         log_deriv_H(HParams(1, 0, 2, 0), 0.5, 0)
     with pytest.raises(ParameterError):
         log_deriv_H(HParams(1, 0, 2, 0), math.inf, 1)
+
+
+# ---------------------------------------------------------------------------
+# strict signs of orders 2 and 3
+#
+# With e(x) = ln(sinh(x/2)/(x/2)), the k-th log-derivative of |H| is
+# t^-k (g_k(|d1 t|) - g_k(|d2 t|)) for k = 2, 3, where g_k(x) = x^k e^(k)(x).
+# g_2 rises and g_3 falls strictly, so those signs are strict on each half
+# line whenever |ratio| != 1: that is what lets the oracle treat a
+# log-convexity or 3-log claim with no confirming probe as a boundary skip.
+
+_X = np.geomspace(1e-3, 1e2, 200)
+
+
+def mp_g(x, k):
+    """x^k e^(k)(x) for k = 2, 3, from the closed forms at 50 digits:
+    x^2 e''(x) = 1 - (x/2)^2 / sinh^2(x/2) and
+    x^3 e'''(x) = x^3 coth(x/2) / (4 sinh^2(x/2)) - 2."""
+    with mp.workdps(50):
+        x = mp.mpf(x)
+        h = x / 2
+        if k == 2:
+            return 1 - (h / mp.sinh(h)) ** 2
+        return x**3 * mp.coth(h) / (4 * mp.sinh(h) ** 2) - 2
+
+
+def test_orders_2_and_3_strictly_monotone():
+    g2 = [mp_g(x, 2) for x in _X]
+    g3 = [mp_g(x, 3) for x in _X]
+    assert all(lo < hi for lo, hi in zip(g2, g2[1:]))
+    assert all(hi > lo for hi, lo in zip(g3, g3[1:]))
+    with mp.workdps(50):
+        # the limits: -x^4/120 near 0, -2 + O(x^3 e^-x) at infinity
+        x0 = mp.mpf(_X[0])
+        assert abs(g3[0] / (-x0**4 / 120) - 1) < 1e-6
+        assert abs(mp_g(100.0, 3) + 2) < 1e-30
+
+
+def test_kernel_orders_2_and_3_match_closed_forms():
+    orders = (2, 3)
+    vals, mags = _e_derivs(np.array([1.0]), _X, orders)
+    for row, k in enumerate(orders):
+        for x, got, size in zip(_X, vals[row, 0], mags[row, 0]):
+            want = float(mp_g(x, k) / mp.mpf(x) ** k)
+            assert abs(got - want) <= _BOUND_ULPS * size + 1e-30, (x, k, got, want)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (x, k)

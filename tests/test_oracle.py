@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,10 +15,12 @@ from expratio import (
     log_deriv_H,
     numeric_log_derivative,
 )
-from expratio import _kernels_py
+from expratio import _kernels_py, oracle
+from expratio.classify import ConvexityKind, Direction, ThirdOrderKind, classify_H
 from expratio.cli import main as cli_main
 from expratio.oracle import (
     SIGN_MARGIN,
+    OracleVerdict,
     _check_one,
     _scan,
     _verdicts,
@@ -29,8 +32,8 @@ from conftest import mp_log_deriv_H, random_hparams
 E = math.e
 
 
-_WINDOW = np.geomspace(1e-3, 1e3, 200)
-_DECADES = 10.0 ** np.arange(-8, -3)
+# the probes on t > 0: one per decade from 1e-8 to 1e-4, then the window
+_HALF = np.concatenate([10.0 ** np.arange(-8, -3), np.geomspace(1e-3, 1e3, 200)])
 
 
 class TestGridSpec:
@@ -38,20 +41,20 @@ class TestGridSpec:
         g = GridSpec()
         pos = g.points(Interval.POSITIVE_HALF_LINE)
         neg = g.points(Interval.NEGATIVE_HALF_LINE)
-        assert np.array_equal(pos, _WINDOW)
-        assert pos[0] == 1e-3 and pos[-1] == pytest.approx(1e3)
+        assert np.array_equal(pos, _HALF)
+        assert pos[0] == 1e-8 and pos[-1] == pytest.approx(1e3)
         assert np.all(np.diff(pos) > 0) and np.all(np.diff(neg) > 0)
         assert np.array_equal(neg, -pos[::-1])
 
     def test_negative_always_scanned(self):
-        # no switch for t < 0, and no other knob: the window is fixed
+        # no switch for t < 0, and no other knob: the probes are fixed
         with pytest.raises(TypeError):
             GridSpec(include_negative=False)
         with pytest.raises(TypeError):
             GridSpec(t_max=10.0)
         g = GridSpec()
         whole = g.points(Interval.WHOLE_LINE)
-        assert np.array_equal(whole, np.concatenate([-_WINDOW[::-1], _WINDOW]))
+        assert np.array_equal(whole, np.concatenate([-_HALF[::-1], [0.0], _HALF]))
         # H = 1/(1 + e^t) falls everywhere; (ln H)' = -1/(1 + e^{-t}) decays
         # below the noise cut far out on t < 0, and those probes oppose
         # nothing: the verdict stays "falls"
@@ -60,16 +63,13 @@ class TestGridSpec:
         assert 5 < v.fall_count < 5 + 200
 
     def test_probes(self):
-        ts, first, higher = GridSpec._probes
-        assert ts.size == 411
-        pos = ts[first[Interval.POSITIVE_HALF_LINE]]
-        assert np.array_equal(pos, np.concatenate([_DECADES, _WINDOW]))
-        assert np.array_equal(ts[first[Interval.NEGATIVE_HALF_LINE]], -pos[::-1])
-        assert np.array_equal(ts[first[Interval.WHOLE_LINE]],
-                              np.concatenate([-pos[::-1], [0.0], pos]))
+        # one selection: every scan order and GridSpec.points read the same
+        # probes on an interval
+        ts, parts = GridSpec._ts, GridSpec._parts
+        assert ts.size == 411 and not ts.flags.writeable
         for interval in Interval:
-            assert np.array_equal(ts[higher[interval]], GridSpec().points(interval))
-        assert GridSpec()._probes[0] is ts and not ts.flags.writeable
+            assert np.array_equal(ts[parts[interval]], _reference_points(interval))
+            assert np.array_equal(ts[parts[interval]], GridSpec().points(interval))
 
     @pytest.mark.parametrize("interval", list(Interval))
     def test_points_built_once_read_only(self, interval):
@@ -260,18 +260,94 @@ def test_boundary_families_clean(family):
 
 
 # ---------------------------------------------------------------------------
+# one claim rule: wrong classifier reports are caught by every check family
+
+# decreasing on (0, inf), non-monotonic on (-inf, 0) and on the whole line,
+# log-concave, 3-log-convex on (0, inf) and 3-log-concave on (-inf, 0); no
+# invariant in the zero band
+_DRAW = HParams(1, -0.5, 2, -1)
+_POS, _WHOLE = Interval.POSITIVE_HALF_LINE, Interval.WHOLE_LINE
+_WRONG_THIRD = ThirdOrderKind.CONCAVE_POS_CONVEX_NEG
+
+
+def _report_with(params, monotonicity=None, convexity=None, third=None, **changes):
+    """classify_H's report for params with the given verdicts swapped in."""
+    report = classify_H(params)
+    if monotonicity:
+        mono = dict(report.monotonicity)
+        for interval, direction in monotonicity.items():
+            mono[interval] = dataclasses.replace(mono[interval], direction=direction)
+        changes["monotonicity"] = mono
+    if convexity:
+        changes["convexity"] = dataclasses.replace(report.convexity, kind=convexity)
+    if third:
+        changes["third_order"] = dataclasses.replace(report.third_order, kind=third)
+    return dataclasses.replace(report, **changes)
+
+
+def _flat_pos_third_order(scan):
+    # (ln|H|)''' is odd in t, so a wrong third-order kind is opposed on
+    # both half lines and (0, inf) is checked first; with no confident
+    # probe there, the (-inf, 0) check is the one that fires
+    def patched(params, wanted):
+        out = scan(params, wanted)
+        if 3 in out:
+            out[3][_POS] = OracleVerdict("flat", 0, 0, 0.0, ())
+        return out
+    return patched
+
+
+@pytest.mark.parametrize("wrong, flat_pos, want", [
+    (dict(monotonicity={_POS: Direction.INCREASING}), False,
+     ("monotonicity (0,inf)", "increasing", "falls")),
+    (dict(monotonicity={_POS: Direction.NON_MONOTONIC}), False,
+     ("monotonicity (0,inf)", "non-monotonic", "falls")),
+    (dict(monotonicity={_WHOLE: Direction.DECREASING}), False,
+     ("monotonicity (-inf,inf)", "decreasing", "both")),
+    (dict(convexity=ConvexityKind.LOG_CONVEX), False,
+     ("log-convexity", "log-convex", "falls")),
+    (dict(third=_WRONG_THIRD), False,
+     ("3-log (0,inf)", _WRONG_THIRD.value, "rises")),
+    (dict(third=_WRONG_THIRD), True,
+     ("3-log (-inf,0)", _WRONG_THIRD.value, "falls")),
+])
+def test_wrong_report_contradicted(monkeypatch, wrong, flat_pos, want):
+    assert _check_one(_DRAW) == ("agree", None)
+    monkeypatch.setattr(oracle, "classify_H", lambda p: _report_with(p, **wrong))
+    if flat_pos:
+        monkeypatch.setattr(oracle, "_scan", _flat_pos_third_order(oracle._scan))
+    outcome, detail = _check_one(_DRAW)
+    assert outcome == "contradiction"
+    assert (detail["check"], detail["claimed"], detail["oracle"]) == want
+    assert detail["params"] == _DRAW.as_tuple()
+
+
+@pytest.mark.parametrize("wrong, want", [
+    ({}, "agree"),
+    (dict(convexity=ConvexityKind.LOG_CONVEX), "skip"),
+    (dict(third=ThirdOrderKind.CONVEX_POS_CONCAVE_NEG), "skip"),
+])
+def test_unconfirmed_higher_order_claim_skips(monkeypatch, wrong, want):
+    # H = e^t is log-affine: its order-2 and order-3 scans have no confident
+    # probe, so a log-convex or 3-log claim there is neither confirmed nor
+    # opposed; it makes the draw a boundary skip, as a flat monotonicity
+    # scan does.  The ratio's zero-band hit is taken out of the report.
+    monkeypatch.setattr(oracle, "classify_H",
+                        lambda p: _report_with(p, zero_band_hits=(), **wrong))
+    assert _check_one(HParams(3, 1, 2, 0)) == (want, None)
+
+
+# ---------------------------------------------------------------------------
 # fused scans against scans of one interval alone
 
-def _reference_points(interval: Interval, k: int) -> np.ndarray:
-    """The window's probes on one interval.  Order 1 adds a t per decade
-    from 1e-8 to 1e-4 on each side, and t = 0 on the whole line."""
-    pos = np.concatenate([_DECADES, _WINDOW]) if k == 1 else _WINDOW
-    neg = -pos[::-1]
+def _reference_points(interval: Interval) -> np.ndarray:
+    """The probes on one interval: a t per decade from 1e-8 to 1e-4 and the
+    window on each side, and t = 0 on the whole line."""
     if interval is Interval.POSITIVE_HALF_LINE:
-        return pos
+        return _HALF
     if interval is Interval.NEGATIVE_HALF_LINE:
-        return neg
-    return np.concatenate([neg, [0.0], pos] if k == 1 else [neg, pos])
+        return -_HALF[::-1]
+    return np.concatenate([-_HALF[::-1], [0.0], _HALF])
 
 
 def _reference_aggregate(ts, probes, cuts):
@@ -300,7 +376,7 @@ def _reference_aggregate(ts, probes, cuts):
 def _reference_scan(p: HParams, interval: Interval, k: int):
     """One kernel call on that interval's probes only; order 1 signed by H."""
     a, b, l, m = p.as_tuple()
-    ts = _reference_points(interval, k)
+    ts = _reference_points(interval)
     value, bound = _kernels_py.log_deriv_h(a, b, l, m, ts, k)
     if k == 1:
         value = value * (1.0 if (a - b) * (l - m) > 0 else -1.0)

@@ -122,9 +122,3 @@ class TestSignedLogValue:
         assert SignedLogValue(-1, 709.5).to_float() == -math.exp(709.5)
         assert SignedLogValue(1, ln_max + 1e-3).to_float() == math.inf
         assert math.copysign(1.0, SignedLogValue(-1, -1e4).to_float()) == -1.0
-
-    def test_mul_div(self):
-        a = SignedLogValue.from_value(-3.0)
-        b = SignedLogValue.from_value(2.0)
-        assert (a * b).to_float() == pytest.approx(-6.0, rel=1e-15)
-        assert (a / b).to_float() == pytest.approx(-1.5, rel=1e-15)
