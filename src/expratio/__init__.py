@@ -44,21 +44,16 @@ from .classify import (
     ConvexityKind,
     ConvexityVerdict,
     Direction,
-    FrakInvariantSet,
     Interval,
     InvariantSet,
     MonotonicityVerdict,
     QReport,
     ThirdOrderKind,
     ThirdOrderVerdict,
-    classify_3log_H,
     classify_H,
     classify_log_convexity_H,
-    classify_monotonicity_H,
-    classify_monotonicity_Q,
     classify_P,
     classify_Q,
-    compute_frak_invariants,
     compute_invariants,
     decision_table,
 )
@@ -103,20 +98,15 @@ __all__ = [
     "ConvexityKind",
     "ThirdOrderKind",
     "InvariantSet",
-    "FrakInvariantSet",
     "MonotonicityVerdict",
     "ConvexityVerdict",
     "ThirdOrderVerdict",
     "ClassificationReport",
     "QReport",
     "compute_invariants",
-    "compute_frak_invariants",
-    "classify_monotonicity_H",
     "classify_log_convexity_H",
-    "classify_3log_H",
     "classify_H",
     "classify_P",
-    "classify_monotonicity_Q",
     "classify_Q",
     "decision_table",
     "GridSpec",

@@ -31,7 +31,7 @@ conditions imply both half-line conditions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .params import HParams, PParams, QParams
@@ -42,21 +42,16 @@ __all__ = [
     "ConvexityKind",
     "ThirdOrderKind",
     "InvariantSet",
-    "FrakInvariantSet",
     "MonotonicityVerdict",
     "ConvexityVerdict",
     "ThirdOrderVerdict",
     "ClassificationReport",
     "QReport",
     "compute_invariants",
-    "compute_frak_invariants",
     "zero_band_width",
-    "classify_monotonicity_H",
     "classify_log_convexity_H",
-    "classify_3log_H",
     "classify_H",
     "classify_P",
-    "classify_monotonicity_Q",
     "classify_Q",
     "decision_table",
     "TableRow",
@@ -98,16 +93,8 @@ class InvariantSet:
     D: float
     E: float
 
-    def get(self, name: str) -> float:
-        return getattr(self, name)
-
     def as_dict(self) -> dict[str, float]:
         return {k: getattr(self, k) for k in "ABCDE"}
-
-
-@dataclass(frozen=True)
-class FrakInvariantSet(InvariantSet):
-    """Same five quantities expressed through the logarithms of (r,s,u,v)."""
 
 
 @dataclass(frozen=True)
@@ -126,7 +113,6 @@ class ConvexityVerdict:
 @dataclass(frozen=True)
 class ThirdOrderVerdict:
     kind: ThirdOrderKind
-    sufficient_only: bool = True
 
 
 @dataclass(frozen=True)
@@ -136,7 +122,6 @@ class ClassificationReport:
     convexity: ConvexityVerdict
     third_order: ThirdOrderVerdict
     zero_band_hits: tuple[str, ...] = ()
-    frak_invariants: FrakInvariantSet | None = None
 
 
 @dataclass(frozen=True)
@@ -162,19 +147,6 @@ def _invariant_values(a: float, b: float, l: float, m: float) -> dict[str, float
 
 def compute_invariants(params: HParams) -> InvariantSet:
     return InvariantSet(**_invariant_values(*params.as_tuple()))
-
-
-def compute_frak_invariants(params: PParams) -> FrakInvariantSet:
-    r, s, u, v = params.r, params.s, params.u, params.v
-    lr_s = math.log(r / s)
-    alr_s = abs(lr_s)
-    return FrakInvariantSet(
-        A=math.log(r * s / (u * v)) * lr_s,
-        B=(math.log(r * s / (u * u)) - alr_s) * lr_s,
-        C=(math.log(r * s / (u * u)) + alr_s) * lr_s,
-        D=(math.log(r * s / (v * v)) + alr_s) * lr_s,
-        E=(math.log(r * s / (v * v)) - alr_s) * lr_s,
-    )
 
 
 def _band(params: HParams) -> tuple[float, float]:
@@ -263,10 +235,6 @@ _TESTED = {
 }
 
 
-def classify_monotonicity_H(params: HParams, interval: Interval) -> MonotonicityVerdict:
-    return classify_H(params).monotonicity[interval]
-
-
 def classify_log_convexity_H(params: HParams) -> ConvexityVerdict:
     """The only comparison of the ratio with 1, made inside the zero band.
     The ratio's sign needs no band: alpha != beta keeps it off 0."""
@@ -292,10 +260,6 @@ _THIRD_ORDER = {
     ConvexityKind.LOG_AFFINE: ThirdOrderVerdict(ThirdOrderKind.NOT_COVERED),
     ConvexityKind.NOT_COVERED: ThirdOrderVerdict(ThirdOrderKind.NOT_COVERED),
 }
-
-
-def classify_3log_H(params: HParams) -> ThirdOrderVerdict:
-    return _THIRD_ORDER[classify_log_convexity_H(params).kind]
 
 
 def classify_H(params: HParams) -> ClassificationReport:
@@ -329,9 +293,8 @@ def classify_H(params: HParams) -> ClassificationReport:
 
 
 def classify_P(params: PParams) -> ClassificationReport:
-    """Classify the positive-base ratio: identical calculus via logarithms,
-    with the invariants also reported in their base form."""
-    return replace(classify_H(params.log_params()), frak_invariants=compute_frak_invariants(params))
+    """The report of H at the logarithms of the bases, unchanged."""
+    return classify_H(params.log_params())
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +306,6 @@ _Q_VERDICTS = {
     v: MonotonicityVerdict(v.direction, tuple((_Q_NAMES[n], s) for n, s in v.fired_conditions[1:]))
     for v in [_NON_MONOTONIC] + [b[4] for _, branches in _LOOKUP[True] for b in branches]
 }
-
-
-def classify_monotonicity_Q(params: QParams, interval: Interval) -> MonotonicityVerdict:
-    return classify_Q(params).monotonicity[interval]
 
 
 def classify_Q(params: QParams) -> QReport:

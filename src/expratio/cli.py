@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -91,6 +92,18 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _nulled(x):
+    """x with every non-finite float written as None (JSON null), as
+    JSON.stringify does: an overflowed invariant or ratio stays valid JSON."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _nulled(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_nulled(v) for v in x]
+    return x
+
+
 def _mono_entry(verdict: cl.MonotonicityVerdict) -> dict:
     return {
         "direction": verdict.direction.value,
@@ -99,7 +112,7 @@ def _mono_entry(verdict: cl.MonotonicityVerdict) -> dict:
 
 
 def _report_doc(func: str, values: list[float], report: cl.ClassificationReport) -> dict:
-    doc = {
+    return {
         "function": func,
         "params": values,
         "invariants": report.invariants.as_dict(),
@@ -111,15 +124,9 @@ def _report_doc(func: str, values: list[float], report: cl.ClassificationReport)
             "ratio": report.convexity.ratio,
             "exponent": report.convexity.exponent,
         },
-        "third_order": {
-            "kind": report.third_order.kind.value,
-            "sufficient_only": report.third_order.sufficient_only,
-        },
+        "third_order": {"kind": report.third_order.kind.value},
         "zero_band_hits": list(report.zero_band_hits),
     }
-    if report.frak_invariants is not None:
-        doc["base_invariants"] = report.frak_invariants.as_dict()
-    return doc
 
 
 def _q_doc(values: list[float], report: cl.QReport) -> dict:
@@ -131,10 +138,7 @@ def _q_doc(values: list[float], report: cl.QReport) -> dict:
         },
         "log_convex": report.log_convex,
         "log_concave": report.log_concave,
-        "third_order": {
-            "kind": report.third_order.kind.value,
-            "sufficient_only": report.third_order.sufficient_only,
-        },
+        "third_order": {"kind": report.third_order.kind.value},
         "zero_band_hits": list(report.zero_band_hits),
     }
 
@@ -144,9 +148,6 @@ def _print_classification_text(doc: dict) -> None:
     if "invariants" in doc:
         inv = doc["invariants"]
         print("invariants: " + "  ".join(f"{k}={_num(inv[k], False)}" for k in "ABCDE"))
-    if "base_invariants" in doc:
-        inv = doc["base_invariants"]
-        print("base invariants: " + "  ".join(f"{k}={_num(inv[k], False)}" for k in "ABCDE"))
     for interval, entry in doc["monotonicity"].items():
         fired = entry["fired_conditions"]
         extra = ""
@@ -161,7 +162,7 @@ def _print_classification_text(doc: dict) -> None:
         print(line + ")")
     else:
         print(f"log-convex: {doc['log_convex']}  log-concave: {doc['log_concave']}")
-    print(f"third-order: {doc['third_order']['kind']} (sufficient conditions only)")
+    print(f"third-order: {doc['third_order']['kind']}")
     if doc["zero_band_hits"]:
         print("warning: invariants on a decision boundary: " + ", ".join(doc["zero_band_hits"]))
     return None
@@ -177,7 +178,7 @@ def cmd_classify(args) -> int:
     else:
         doc = _q_doc(values, cl.classify_Q(QParams(*values)))
     if args.format == "json":
-        print(json.dumps(doc))
+        print(json.dumps(_nulled(doc), allow_nan=False))
     elif args.format == "csv":
         # one row per interval verdict
         print("interval,direction")
@@ -199,7 +200,7 @@ def cmd_verify(args) -> int:
             "boundary_skips": report.boundary_skips,
             "contradictions": report.contradictions,
         }
-        print(json.dumps(doc))
+        print(json.dumps(doc, allow_nan=False))
     elif args.format == "csv":
         print("draws,agreements,boundary_skips,contradictions")
         print(
@@ -227,7 +228,7 @@ def cmd_table(args) -> int:
             }
             for r in rows
         ]
-        print(json.dumps(doc))
+        print(json.dumps(doc, allow_nan=False))
     elif args.format == "csv":
         print("interval,direction,A,B,C,D,E,ordering")
         for r in rows:

@@ -2,9 +2,11 @@
 
 Everything here differentiates H's definition: grid scans of the exact
 log-derivatives of ln|H| for rise/fall and sign witnesses, and a bisection
-search for the sign change of the fourth log-derivative.  None of it
-consults the closed-form invariants or the ratio rule, so agreement between
-this module and ``classify`` is evidence, not tautology.
+search for the sign change of the fourth log-derivative.  The scans never
+consult the closed-form invariants or the ratio rule, so agreement between
+them and ``classify`` is evidence, not tautology.  The one reader of the
+ratio rule is ``four_log_sign_change_search``, which rejects log-affine
+input through ``classify_log_convexity_H`` before it searches.
 
 The scans read ``_kernels_py.log_derivs_h``, which writes the k-th
 log-derivative as d1^k phi^(k)(d1 t) - d2^k phi^(k)(d2 t) (+ beta - mu for

@@ -77,8 +77,15 @@ class PParams:
             raise ParameterError("PParams: (r, s) == (v, u) excluded")
 
     def log_params(self) -> HParams:
-        """The exponent quadruple (ln r, ln s, ln u, ln v)."""
-        return HParams(math.log(self.r), math.log(self.s), math.log(self.u), math.log(self.v))
+        """The exponent quadruple (ln r, ln s, ln u, ln v).  Distinct bases
+        can share a logarithm in double precision; that is reported here."""
+        try:
+            return HParams(math.log(self.r), math.log(self.s), math.log(self.u), math.log(self.v))
+        except ParameterError:
+            raise ParameterError(
+                "PParams: the logarithms of the bases coincide in double precision; "
+                "H of (ln r, ln s, ln u, ln v) is excluded"
+            ) from None
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,10 @@ from expratio import (
     PParams,
     QParams,
     ThirdOrderKind,
-    classify_3log_H,
     classify_H,
     classify_log_convexity_H,
-    classify_monotonicity_H,
-    classify_monotonicity_Q,
     classify_P,
     classify_Q,
-    compute_frak_invariants,
     compute_invariants,
     decision_table,
 )
@@ -72,7 +68,7 @@ class TestInvariants:
         shifted = compute_invariants(HParams(p.alpha + c, p.beta + c, p.lam + c, p.mu + c))
         scale = max(1.0, abs(inv.A), abs(inv.B), abs(inv.C), abs(inv.D), abs(inv.E))
         for k in "ABCDE":
-            assert abs(inv.get(k) - shifted.get(k)) < 1e-11 * scale
+            assert abs(getattr(inv, k) - getattr(shifted, k)) < 1e-11 * scale
 
     @settings(max_examples=60, deadline=None)
     @given(hparams_st)
@@ -102,17 +98,17 @@ class TestInvariants:
 
 class TestMonotonicity:
     def test_exponential_increasing(self):
-        v = classify_monotonicity_H(HParams(3, 1, 2, 0), Interval.POSITIVE_HALF_LINE)
+        v = classify_H(HParams(3, 1, 2, 0)).monotonicity[Interval.POSITIVE_HALF_LINE]
         assert v.direction is Direction.INCREASING
         assert ("A", ">=0") in v.fired_conditions and ("C", ">=0") in v.fired_conditions
 
     def test_logistic_decreasing_whole_line(self):
-        v = classify_monotonicity_H(HParams(1, 0, 2, 0), Interval.WHOLE_LINE)
+        v = classify_H(HParams(1, 0, 2, 0)).monotonicity[Interval.WHOLE_LINE]
         assert v.direction is Direction.DECREASING
         assert ("C", "<=0") in v.fired_conditions and ("E", "<=0") in v.fired_conditions
 
     def test_sinh_ratio_non_monotonic(self):
-        v = classify_monotonicity_H(HParams(3, -3, 1, 0), Interval.POSITIVE_HALF_LINE)
+        v = classify_H(HParams(3, -3, 1, 0)).monotonicity[Interval.POSITIVE_HALF_LINE]
         assert v.direction is Direction.NON_MONOTONIC
         assert v.fired_conditions == ()
 
@@ -128,11 +124,12 @@ class TestMonotonicity:
     @settings(max_examples=100, deadline=None)
     @given(hparams_st)
     def test_double_swap_same_verdicts(self, p):
-        swapped = HParams(p.beta, p.alpha, p.mu, p.lam)
+        report = classify_H(p)
+        swapped = classify_H(HParams(p.beta, p.alpha, p.mu, p.lam))
         for interval in Interval:
             assert (
-                classify_monotonicity_H(p, interval).direction
-                is classify_monotonicity_H(swapped, interval).direction
+                report.monotonicity[interval].direction
+                is swapped.monotonicity[interval].direction
             )
 
     @settings(max_examples=100, deadline=None)
@@ -140,7 +137,8 @@ class TestMonotonicity:
     def test_negation_mirrors_and_flips(self, p):
         # H with negated parameters equals H(-t), so verdicts mirror across
         # the origin with the direction reversed
-        neg = HParams(-p.alpha, -p.beta, -p.lam, -p.mu)
+        report = classify_H(p)
+        neg = classify_H(HParams(-p.alpha, -p.beta, -p.lam, -p.mu))
         flip = {
             Direction.INCREASING: Direction.DECREASING,
             Direction.DECREASING: Direction.INCREASING,
@@ -152,8 +150,8 @@ class TestMonotonicity:
             Interval.WHOLE_LINE: Interval.WHOLE_LINE,
         }
         for interval in Interval:
-            want = flip[classify_monotonicity_H(p, interval).direction]
-            got = classify_monotonicity_H(neg, mirror[interval]).direction
+            want = flip[report.monotonicity[interval].direction]
+            got = neg.monotonicity[mirror[interval]].direction
             assert got is want, (p, interval)
 
     def test_exclusivity(self, rng):
@@ -245,7 +243,7 @@ class TestConvexity:
         v = classify_log_convexity_H(p)
         assert v.kind is ConvexityKind.LOG_AFFINE and v.ratio != 1.0
         assert v.exponent == -1.0
-        assert classify_3log_H(p).kind is ThirdOrderKind.NOT_COVERED
+        assert classify_H(p).third_order.kind is ThirdOrderKind.NOT_COVERED
         assert classify_H(p).zero_band_hits == ("ratio",)
 
     def test_ratio_outside_band(self):
@@ -261,23 +259,20 @@ class TestConvexity:
 class TestThirdOrder:
     def test_cases(self):
         assert (
-            classify_3log_H(HParams(1, 0, 2, 0)).kind
+            classify_H(HParams(1, 0, 2, 0)).third_order.kind
             is ThirdOrderKind.CONVEX_POS_CONCAVE_NEG
         )
         assert (
-            classify_3log_H(HParams(4, 0, 2, 0)).kind
+            classify_H(HParams(4, 0, 2, 0)).third_order.kind
             is ThirdOrderKind.CONCAVE_POS_CONVEX_NEG
         )
-        assert classify_3log_H(HParams(1, 0, 0, 2)).kind is ThirdOrderKind.NOT_COVERED
+        assert classify_H(HParams(1, 0, 0, 2)).third_order.kind is ThirdOrderKind.NOT_COVERED
 
     def test_depends_on_ratio_only(self):
         # same ratio through both orderings of the denominator exponents
-        a = classify_3log_H(HParams(1, 0, 2, 0))    # lam > mu, ratio 0.5
-        b = classify_3log_H(HParams(0, 1, 0, 2))    # lam < mu, ratio 0.5
+        a = classify_H(HParams(1, 0, 2, 0)).third_order    # lam > mu, ratio 0.5
+        b = classify_H(HParams(0, 1, 0, 2)).third_order    # lam < mu, ratio 0.5
         assert a.kind is b.kind is ThirdOrderKind.CONVEX_POS_CONCAVE_NEG
-
-    def test_sufficient_only_flag(self):
-        assert classify_3log_H(HParams(1, 0, 2, 0)).sufficient_only
 
 
 class TestPClassification:
@@ -287,26 +282,8 @@ class TestPClassification:
             if min(abs(r - s), abs(u - v)) < 1e-3:
                 continue
             pp = PParams(r, s, u, v)
-            report_p = classify_P(pp)
-            report_h = classify_H(pp.log_params())
-            for interval in Interval:
-                assert (
-                    report_p.monotonicity[interval].direction
-                    is report_h.monotonicity[interval].direction
-                )
-            assert report_p.convexity.kind is report_h.convexity.kind
-            assert report_p.third_order.kind is report_h.third_order.kind
-
-    def test_frak_invariants_match_log_form(self, rng):
-        for _ in range(30):
-            r, s, u, v = np.exp(rng.uniform(-2, 2, size=4))
-            if min(abs(r - s), abs(u - v)) < 1e-3:
-                continue
-            pp = PParams(r, s, u, v)
-            frak = compute_frak_invariants(pp)
-            inv = compute_invariants(pp.log_params())
-            for k in "ABCDE":
-                assert frak.get(k) == pytest.approx(inv.get(k), rel=1e-13, abs=1e-13)
+            # the whole report, invariants and band hits included
+            assert classify_P(pp) == classify_H(pp.log_params())
 
     def test_example_tuples(self):
         e = math.e
@@ -319,11 +296,11 @@ class TestPClassification:
 
 class TestQClassification:
     def test_intro_example(self):
-        v = classify_monotonicity_Q(QParams(0.0, 0.5), Interval.POSITIVE_HALF_LINE)
+        v = classify_Q(QParams(0.0, 0.5)).monotonicity[Interval.POSITIVE_HALF_LINE]
         assert v.direction is Direction.INCREASING
 
     def test_half_exponential(self):
-        v = classify_monotonicity_Q(QParams(-0.5, 0.5), Interval.WHOLE_LINE)
+        v = classify_Q(QParams(-0.5, 0.5)).monotonicity[Interval.WHOLE_LINE]
         assert v.direction is Direction.INCREASING
 
     def test_convexity_flags(self):
@@ -347,11 +324,12 @@ class TestQClassification:
             except ValueError:
                 continue
             n += 1
-            h = q.h_params()
+            report_q = classify_Q(q)
+            report_h = classify_H(q.h_params())
             for interval in Interval:
                 assert (
-                    classify_monotonicity_Q(q, interval).direction
-                    is classify_monotonicity_H(h, interval).direction
+                    report_q.monotonicity[interval].direction
+                    is report_h.monotonicity[interval].direction
                 ), (a, b, interval)
 
 
@@ -391,10 +369,10 @@ class TestDecisionTable:
                 if (row.ordering == "lambda>mu") != lam_gt_mu:
                     continue
                 holds = all(
-                    inv.get(k) >= 0 if s == ">=0" else inv.get(k) <= 0
+                    getattr(inv, k) >= 0 if s == ">=0" else getattr(inv, k) <= 0
                     for k, s in row.constraints.items()
                 )
                 if holds:
                     interval = next(iv for iv in Interval if iv.value == row.interval)
-                    got = classify_monotonicity_H(p, interval).direction.value
+                    got = classify_H(p).monotonicity[interval].direction.value
                     assert got == row.direction, (p, row)

@@ -162,19 +162,40 @@ class TestClassify:
             capsys, "classify", "P", "2", "3", "5", "7", "--format", "json"
         )
         doc_p = json.loads(out_p)
-        logs = [math.log(x) for x in (2, 3, 5, 7)]
-        code, out_h, _ = run_cli(
-            capsys, "classify", "H", *map(str, logs), "--format", "json"
-        )
+        # repr round-trips, so H reads the very logarithms P computes
+        logs = [repr(math.log(x)) for x in (2, 3, 5, 7)]
+        code, out_h, _ = run_cli(capsys, "classify", "H", *logs, "--format", "json")
         doc_h = json.loads(out_h)
-        assert doc_p["monotonicity"] == doc_h["monotonicity"]
-        assert doc_p["third_order"] == doc_h["third_order"]
-        for k in "ABCDE":
-            assert doc_p["invariants"][k] == pytest.approx(
-                doc_h["invariants"][k], rel=1e-12, abs=1e-12
-            )
-        # the P report additionally carries the base-form invariants
-        assert "base_invariants" in doc_p
+        for doc in (doc_p, doc_h):
+            del doc["function"], doc["params"]
+        assert doc_p == doc_h
+
+    def test_P_equal_logarithms_exit_2(self, capsys):
+        # the bases differ, but their logarithms are equal in double precision
+        code, _, err = run_cli(capsys, "classify", "P", "1e10", "10000000000.000002", "5", "7")
+        assert code == 2
+        assert err.startswith("error: PParams: the logarithms of the bases coincide")
+
+    @pytest.mark.parametrize(
+        "params, nulls",
+        [
+            # A, C and D overflow to inf; the verdicts read the scaled invariants
+            (["1e200", "0", "1", "0"], {"A", "C", "D"}),
+            # the ratio overflows too
+            (["1e300", "0", "1e-300", "0"], {"A", "C", "D", "ratio"}),
+        ],
+    )
+    def test_json_nonfinite_as_null(self, capsys, params, nulls):
+        def reject(name):
+            raise ValueError(f"bare {name} in JSON output")
+
+        code, out, _ = run_cli(capsys, "classify", "H", *params, "--format", "json")
+        assert code == 0
+        doc = json.loads(out, parse_constant=reject)
+        got = {k for k, v in doc["invariants"].items() if v is None}
+        if doc["convexity"]["ratio"] is None:
+            got.add("ratio")
+        assert got == nulls
 
     def test_Q_report(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "Q", "0", "2", "--format", "json")
@@ -195,8 +216,8 @@ class TestClassify:
             '[["q1", ">=0"], ["q3", ">=0"]]}, '
             '"(-inf,inf)": {"direction": "non-monotonic", "fired_conditions": []}}, '
             '"log_convex": false, "log_concave": true, "third_order": '
-            '{"kind": "3-log-convex on (0,inf), 3-log-concave on (-inf,0)", '
-            '"sufficient_only": true}, "zero_band_hits": ["q1"]}\n'
+            '{"kind": "3-log-convex on (0,inf), 3-log-concave on (-inf,0)"}, '
+            '"zero_band_hits": ["q1"]}\n'
         )
 
     def test_Q_ratio_one_in_band(self, capsys):
