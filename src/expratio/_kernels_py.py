@@ -32,7 +32,11 @@ shift taken out, G and F use one each.
 since e^(k) has the parity of k.  e^(k)(u) comes from its Bernoulli series
 for u <= 1 and from closed forms in q = e^{-u} beyond, so the value is
 regular at t = 0, odd orders vanish there exactly, and |d1| = |d2| (ratio
-+-1, log-affine) gives exactly 0 at every order >= 2.
++-1, log-affine) gives exactly 0 at every order >= 2.  By that parity the
+e^(k) terms are evaluated once per distinct |t| and gathered back to t.
+alpha, beta, lam and mu may also be 1-D arrays of one length, one row per
+parameter set: the oracle scans many draws in one call, and each row is
+the same bits as that set's scalar call.
 
 The finite-difference estimator, the independent check of those derivatives,
 keeps a split of its own (ln|d t| + d t / 2 + sinh form, or
@@ -206,7 +210,8 @@ def log_derivs_h(alpha, beta, lam, mu, t, orders):
     """Exact derivatives of ln|H| at t for several orders (each in 1..4),
     sharing the transcendental terms.
 
-    Returns {order: (value, bound)}, arrays shaped like t.  bound is a
+    Returns {order: (value, bound)}, arrays shaped like t, or (n, *t.shape)
+    when the four parameters are 1-D arrays of n parameter sets.  bound is a
     roundoff floor, a few ulps of the magnitudes the value is formed from
     (for order 1 including (|alpha| + |beta| + |lam| + |mu|)/2), not an
     error estimate of any discretization: the value has none.  Values are
@@ -218,12 +223,19 @@ def log_derivs_h(alpha, beta, lam, mu, t, orders):
         raise ValueError(f"orders must be in 1..4, got {orders}")
     t = np.asarray(t, dtype=np.float64)
     ts = t.ravel()
-    d = np.array([abs(alpha - beta), abs(lam - mu)])
+    params = np.array([alpha, beta, lam, mu], dtype=np.float64)
+    shape = params.shape[1:] + t.shape
+    rows = params.reshape(4, -1, 1)
+    a, b, l, m = rows
+    n = a.shape[0]
+    # e^(k) has the parity of k: evaluate once per distinct |t|, then gather
+    mags_t, at = np.unique(np.abs(ts), return_inverse=True)
+    d = np.abs(rows[0::2] - rows[1::2]).ravel()  # |alpha - beta| rows, then |lam - mu|
     # the branch not taken may overflow, or divide by t = 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vals, mags = _e_derivs(d, np.abs(ts), orders)
-    diffs = vals[:, 0] - vals[:, 1]
-    sizes = mags[:, 0] + mags[:, 1]
+        vals, mags = _e_derivs(d, mags_t, orders)
+    diffs = (vals[:, :n] - vals[:, n:])[..., at]
+    sizes = (mags[:, :n] + mags[:, n:])[..., at]
     sgn = np.sign(ts)
     zero = ts == 0.0
     out = {}
@@ -232,11 +244,11 @@ def log_derivs_h(alpha, beta, lam, mu, t, orders):
         if k % 2:
             value = sgn * value
             # u = 0 there, and 0 * |d|^k is NaN once |d|^k overflows
-            value[zero] = size[zero] = 0.0
+            value[:, zero] = size[:, zero] = 0.0
         if k == 1:
-            value = value + 0.5 * ((alpha + beta) - (lam + mu))
-            size = size + 0.5 * (abs(alpha) + abs(beta) + abs(lam) + abs(mu))
-        out[k] = (value.reshape(t.shape), (_BOUND_ULPS * size).reshape(t.shape))
+            value = value + 0.5 * ((a + b) - (l + m))
+            size = size + 0.5 * (np.abs(a) + np.abs(b) + np.abs(l) + np.abs(m))
+        out[k] = (value.reshape(shape), (_BOUND_ULPS * size).reshape(shape))
     return out
 
 

@@ -236,9 +236,22 @@ _TESTED = {
 
 
 def classify_log_convexity_H(params: HParams) -> ConvexityVerdict:
-    """The only comparison of the ratio with 1, made inside the zero band.
-    The ratio's sign needs no band: alpha != beta keeps it off 0."""
-    ratio = (params.alpha - params.beta) / (params.lam - params.mu)
+    p2 = _band(params)[1]
+    a, b, l, m = params.as_tuple()
+    return _convexity(a / p2 - b / p2, l / p2 - m / p2, params)
+
+
+def _convexity(d1: float, d2: float, params: HParams) -> ConvexityVerdict:
+    """The only comparison of the ratio (alpha - beta)/(lam - mu) with 1,
+    made inside the zero band; the ratio's sign needs no band, as alpha !=
+    beta keeps it off 0.  d1 and d2 are the two differences of the
+    parameters divided by _band's power of two: that division is exact, so
+    they cannot overflow where the ratio does not."""
+    try:
+        ratio = d1 / d2
+    except ZeroDivisionError:
+        # d2 underflowed to 0; unscaled, lam - mu is not 0
+        ratio = (params.alpha - params.beta) / (params.lam - params.mu)
     if abs(ratio - 1.0) <= ZERO_BAND_EPS:
         # H(t) = e^{(beta-mu) t}, exactly so when ratio == 1
         return ConvexityVerdict(ConvexityKind.LOG_AFFINE, ratio, exponent=params.beta - params.mu)
@@ -266,7 +279,8 @@ def classify_H(params: HParams) -> ClassificationReport:
     inv = compute_invariants(params)
     band, p2 = _band(params)
     a, b, l, m = params.as_tuple()
-    values = _invariant_values(a / p2, b / p2, l / p2, m / p2)
+    a, b, l, m = a / p2, b / p2, l / p2, m / p2
+    values = _invariant_values(a, b, l, m)
     # band sign: -1, 0 or +1, with 0 meaning -band <= x <= band; NaN stays
     # NaN and so fails every sign condition, as the plain comparisons do
     signs = {name: (x > band) - (x < -band) if x == x else x for name, x in values.items()}
@@ -279,7 +293,7 @@ def classify_H(params: HParams) -> ClassificationReport:
         else:
             verdict = _NON_MONOTONIC
         mono[interval] = verdict
-    convexity = classify_log_convexity_H(params)
+    convexity = _convexity(a - b, l - m, params)
     hits = tuple(name for name in _TESTED[lam_gt_mu] if signs[name] == 0)
     if convexity.kind is ConvexityKind.LOG_AFFINE:
         hits += ("ratio",)

@@ -70,6 +70,13 @@ def rel_err(got, want):
     return abs(float(got) - want) / abs(want)
 
 
+def same_bits(got, want) -> bool:
+    """Equal shapes and identical float64 bits (0.0 and -0.0 differ, a NaN
+    equals itself)."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260826)

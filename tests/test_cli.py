@@ -197,6 +197,18 @@ class TestClassify:
             got.add("ratio")
         assert got == nulls
 
+    def test_ratio_of_overflowing_differences(self, capsys):
+        # alpha - beta = 2e308 and lam - mu = 3e308 overflow; their ratio,
+        # 2/3, does not, and H = sinh(1e308 t)/sinh(1.5e308 t) is log-concave
+        args = ("classify", "H", "1e308", "-1e308", "1.5e308", "-1.5e308")
+        code, out, _ = run_cli(capsys, *args, "--format", "json")
+        convexity = json.loads(out)["convexity"]
+        assert code == 0 and convexity["kind"] == "log-concave"
+        assert convexity["ratio"] == 1e308 / 1.5e308 == pytest.approx(2 / 3, rel=1e-15)
+        code, out, _ = run_cli(capsys, *args)
+        assert "log-convexity: log-concave (ratio=0.666667)" in out
+        assert "third-order: 3-log-convex on (0,inf), 3-log-concave on (-inf,0)" in out
+
     def test_Q_report(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "Q", "0", "2", "--format", "json")
         doc = json.loads(out)

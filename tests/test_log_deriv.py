@@ -20,7 +20,7 @@ from expratio import HParams, log_deriv_H
 from expratio._kernels_py import _BOUND_ULPS, _e_derivs, log_deriv_h, log_derivs_h
 from expratio.params import ParameterError
 
-from conftest import mp_log_deriv_H, random_hparams
+from conftest import mp_log_deriv_H, random_hparams, same_bits
 
 ORDERS = (1, 2, 3, 4)
 
@@ -164,7 +164,7 @@ def test_vector_matches_scalar_and_single_orders():
 
 def test_values_independent_of_orders_asked(rng):
     # an order's values are the same bits whichever other orders share the
-    # pass, so a scan reads the same probes whatever else _check_one wants
+    # pass, so a scan reads the same probes whatever else its chunk wants
     half = np.geomspace(1e-8, 1e3, 60)
     ts = np.concatenate([-half[::-1], [0.0], half])
     for p in random_hparams(rng, 40):
@@ -173,6 +173,30 @@ def test_values_independent_of_orders_asked(rng):
             value, bound = log_derivs_h(*p.as_tuple(), ts, (k,))[k]
             assert np.array_equal(value, fused[k][0]), (p, k)
             assert np.array_equal(bound, fused[k][1]), (p, k)
+
+
+def test_parameter_arrays_match_scalar_calls(rng):
+    # one row per parameter set, each the same bits as that set's scalar
+    # call, whatever the other rows are: huge differences take the overflow
+    # paths, and the last two rows are log-affine (ratio 1 and -1)
+    half = np.geomspace(1e-8, 1e3, 60)
+    ts = np.concatenate([-half[::-1], [0.0], half, [1e200, -1e200]])
+    rows = [p.as_tuple() for p in random_hparams(rng, 36)]
+    rows += [(1e200, 0.0, 1.0, 0.0), (1e80, 0.0, -2.0, 1.0), (0.5, -1.5, 3.0, 1.0),
+             (2.0, 0.0, -1.0, 1.0)]
+    for orders in (ORDERS, (3,), (2, 1)):
+        out = log_derivs_h(*np.array(rows).T, ts, orders)
+        for k in orders:
+            value, bound = out[k]
+            for i, row in enumerate(rows):
+                want_value, want_bound = log_derivs_h(*row, ts, orders)[k]
+                assert same_bits(value[i], want_value), (row, k)
+                assert same_bits(bound[i], want_bound), (row, k)
+            assert value.shape == bound.shape == (len(rows), ts.size)
+    # the row axis comes first, then t's shape; one row is still a row
+    grid = ts[:60].reshape(6, 10)
+    assert log_derivs_h(*np.array(rows[:3]).T, grid, (2,))[2][0].shape == (3, 6, 10)
+    assert log_derivs_h([1.0], [0.0], [2.0], [0.0], 0.5, (2,))[2][0].shape == (1,)
 
 
 def test_order_validation():
@@ -194,15 +218,19 @@ def test_order_validation():
 # g_2 rises and g_3 falls strictly, so those signs are strict on each half
 # line whenever |ratio| != 1: that is what lets the oracle treat a
 # log-convexity or 3-log claim with no confirming probe as a boundary skip.
+# The grid runs out to 7e2, where e^{-x/2} nears the bottom of the double
+# range and the kernel's closed forms end, at 40 points per decade.
 
-_X = np.geomspace(1e-3, 1e2, 200)
+_X = np.geomspace(1e-3, 7e2, 234)
 
 
 def mp_g(x, k):
-    """x^k e^(k)(x) for k = 2, 3, from the closed forms at 50 digits:
+    """x^k e^(k)(x) for k = 2, 3, from the closed forms at 330 digits, so
+    that the distance to the limits 1 and -2, down to ~1e-296 at 7e2, is
+    resolved:
     x^2 e''(x) = 1 - (x/2)^2 / sinh^2(x/2) and
     x^3 e'''(x) = x^3 coth(x/2) / (4 sinh^2(x/2)) - 2."""
-    with mp.workdps(50):
+    with mp.workdps(330):
         x = mp.mpf(x)
         h = x / 2
         if k == 2:
@@ -220,6 +248,8 @@ def test_orders_2_and_3_strictly_monotone():
         x0 = mp.mpf(_X[0])
         assert abs(g3[0] / (-x0**4 / 120) - 1) < 1e-6
         assert abs(mp_g(100.0, 3) + 2) < 1e-30
+        x1 = mp.mpf(_X[-1])
+        assert abs((g3[-1] + 2) / (x1**3 * mp.exp(-x1)) - 1) < 1e-6
 
 
 def test_kernel_orders_2_and_3_match_closed_forms():

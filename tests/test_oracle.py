@@ -21,13 +21,15 @@ from expratio.cli import main as cli_main
 from expratio.oracle import (
     SIGN_MARGIN,
     OracleVerdict,
+    _CHUNK,
     _check_one,
+    _draw_params,
     _scan,
     _verdicts,
 )
 from expratio.params import ParameterError
 
-from conftest import mp_log_deriv_H, random_hparams
+from conftest import mp_log_deriv_H, random_hparams, same_bits
 
 E = math.e
 
@@ -289,10 +291,11 @@ def _flat_pos_third_order(scan):
     # (ln|H|)''' is odd in t, so a wrong third-order kind is opposed on
     # both half lines and (0, inf) is checked first; with no confident
     # probe there, the (-inf, 0) check is the one that fires
-    def patched(params, wanted):
-        out = scan(params, wanted)
-        if 3 in out:
-            out[3][_POS] = OracleVerdict("flat", 0, 0, 0.0, ())
+    def patched(draws, wanted):
+        out = scan(draws, wanted)
+        for scans in out:
+            if 3 in scans:
+                scans[3][_POS] = OracleVerdict("flat", 0, 0, 0.0, ())
         return out
     return patched
 
@@ -396,14 +399,15 @@ def _scan_draws() -> list[HParams]:
 
 def test_fused_scans_match_single_interval_scans():
     everything = {k: tuple(Interval) for k in (1, 2, 3)}
-    for p in _scan_draws():
-        fused = _scan(p, everything)
+    draws = _scan_draws()
+    # one pass over all 62 draws, every order and interval
+    for p, fused in zip(draws, _scan(draws, everything), strict=True):
         for k in (1, 2, 3):
             for interval in Interval:
                 want = _reference_scan(p, interval, k)
                 assert _as_tuple(fused[k][interval]) == want, (p, interval, k)
-                # a pass for fewer orders and intervals reads the same values
-                assert _scan(p, {k: (interval,)})[k][interval] == fused[k][interval]
+                # a pass for one draw, order and interval reads the same values
+                assert _scan([p], {k: (interval,)})[0][k][interval] == fused[k][interval]
                 if k == 1:
                     public = grid_monotonicity_check(p, interval)
                 else:
@@ -412,14 +416,23 @@ def test_fused_scans_match_single_interval_scans():
 
 
 def test_verdicts_match_reference(rng):
+    # rows with their own offsets and cuts; on every other pass the probes
+    # are whole multiples of 1e-8, so the strongest rise or fall is often
+    # tied and the first of the tied probes must be the witness
     ts = np.linspace(-1.0, 1.0, 41)
-    cuts = np.full(ts.size, SIGN_MARGIN)
     parts = {"all": slice(None), "left": slice(0, 20), "picked": np.r_[3:9, 30:41]}
-    for _ in range(200):
-        probes = rng.normal(scale=1e-8, size=ts.size) + rng.choice([-3e-8, 0.0, 3e-8])
+    shape = (5, ts.size)
+    for i in range(200):
+        probes = rng.normal(scale=1e-8, size=shape) + rng.choice([-3e-8, 0.0, 3e-8], size=(5, 1))
+        if i % 2:
+            probes = np.round(probes / 1e-8) * 1e-8
+        cuts = SIGN_MARGIN * rng.uniform(0.5, 1.5, size=shape)
         got = _verdicts(ts, probes, cuts, parts)
         for key, s in parts.items():
-            assert _as_tuple(got[key]) == _reference_aggregate(ts[s], probes[s], cuts[s])
+            assert len(got[key]) == 5
+            for row, verdict in enumerate(got[key]):
+                want = _reference_aggregate(ts[s], probes[row, s], cuts[row, s])
+                assert _as_tuple(verdict) == want, (key, row)
 
 
 # ---------------------------------------------------------------------------
@@ -474,3 +487,53 @@ def test_four_log_crossing_past_ten():
     lo = log_deriv_H(p, t_star * (1 - 1e-4), 4)
     hi = log_deriv_H(p, t_star * (1 + 1e-4), 4)
     assert lo * hi < 0
+
+
+# ---------------------------------------------------------------------------
+# chunked checks: cross_validate scans _CHUNK draws per pass, and a draw's
+# values and verdicts do not depend on the draws that share its pass
+
+
+def _one_draw_loop(n: int, seed: int) -> oracle.CrossValidationReport:
+    """cross_validate written as a loop of _check_one over the same draws."""
+    rng = np.random.default_rng(seed)
+    report = oracle.CrossValidationReport()
+    for _ in range(n):
+        kind, detail = _check_one(_draw_params(rng))
+        report.draws += 1
+        if kind == "agree":
+            report.agreements += 1
+        elif kind == "skip":
+            report.boundary_skips += 1
+        else:
+            report.contradictions.append(detail)
+    return report
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 70])
+def test_cross_validate_matches_one_draw_loop(monkeypatch, n):
+    assert _CHUNK == 32
+    assert cross_validate(n, seed=n) == _one_draw_loop(n, n)
+    # a wrong claim on (0, inf) for every draw: the contradictions, in draw
+    # order, carry each draw's params and witnesses
+    monkeypatch.setattr(oracle, "classify_H",
+                        lambda p: _report_with(p, monotonicity={_POS: Direction.INCREASING}))
+    wrong = cross_validate(n, seed=n)
+    assert wrong == _one_draw_loop(n, n)
+    assert n == 1 or 0 < len(wrong.contradictions) < n
+
+
+def test_chunk_rows_match_draws_alone():
+    # 20 generic draws and 12 on the A0, C0, E0 and ratio1 boundaries
+    draws = _scan_draws()[-_CHUNK:]
+    ts, orders = GridSpec._ts, (1, 2, 3)
+    everything = {k: tuple(Interval) for k in orders}
+    chunk = _kernels_py.log_derivs_h(*np.array([p.as_tuple() for p in draws]).T, ts, orders)
+    scans = _scan(draws, everything)
+    assert len(scans) == _CHUNK
+    for i, p in enumerate(draws):
+        alone = _kernels_py.log_derivs_h(*p.as_tuple(), ts, orders)
+        for k in orders:
+            assert same_bits(chunk[k][0][i], alone[k][0]), (p, k)
+            assert same_bits(chunk[k][1][i], alone[k][1]), (p, k)
+        assert _scan([p], everything)[0] == scans[i], p
