@@ -14,9 +14,9 @@ derived from the same branch encoding so they cannot diverge.
 
 One sign rule decides every boundary: a value within the zero band counts
 as 0.  Each invariant gets its band sign (-1, 0 or +1, band from
-``zero_band_width``) once per call and every verdict reads those signs; the
-ratio (a-b)/(l-m) is compared with 1 in one place,
-``classify_log_convexity_H``, where |ratio - 1| <= ZERO_BAND_EPS is
+``zero_band_width``) once per call and every verdict reads those signs;
+|ratio|, ratio = (a-b)/(l-m), is compared with 1 in one place,
+``classify_log_convexity_H``, where ||ratio| - 1| <= ZERO_BAND_EPS is
 log-affine, and the third-order verdict follows from that answer.  Band
 hits, the invariants whose band sign is 0 and ``"ratio"``, are reported in
 ``zero_band_hits``.  Q and P are adapters over ``classify_H``:
@@ -76,13 +76,12 @@ class ConvexityKind(Enum):
     LOG_CONVEX = "log-convex"
     LOG_CONCAVE = "log-concave"
     LOG_AFFINE = "log-affine"
-    NOT_COVERED = "not-covered"
 
 
 class ThirdOrderKind(Enum):
     CONVEX_POS_CONCAVE_NEG = "3-log-convex on (0,inf), 3-log-concave on (-inf,0)"
     CONCAVE_POS_CONVEX_NEG = "3-log-concave on (0,inf), 3-log-convex on (-inf,0)"
-    NOT_COVERED = "not-covered"
+    LOG_AFFINE = "log-affine"
 
 
 @dataclass(frozen=True)
@@ -242,36 +241,34 @@ def classify_log_convexity_H(params: HParams) -> ConvexityVerdict:
 
 
 def _convexity(d1: float, d2: float, params: HParams) -> ConvexityVerdict:
-    """The only comparison of the ratio (alpha - beta)/(lam - mu) with 1,
-    made inside the zero band; the ratio's sign needs no band, as alpha !=
-    beta keeps it off 0.  d1 and d2 are the two differences of the
-    parameters divided by _band's power of two: that division is exact, so
-    they cannot overflow where the ratio does not."""
+    """The only comparison of |ratio|, ratio = (alpha - beta)/(lam - mu),
+    with 1, made inside the zero band: H(a, b, l, m) = -H(b, a, l, m), so
+    |ratio| decides for every admissible H.  d1 and d2 are the differences
+    of the parameters divided by _band's power of two: that division is
+    exact, so they cannot overflow where the ratio does not."""
     try:
         ratio = d1 / d2
     except ZeroDivisionError:
         # d2 underflowed to 0; unscaled, lam - mu is not 0
         ratio = (params.alpha - params.beta) / (params.lam - params.mu)
-    if abs(ratio - 1.0) <= ZERO_BAND_EPS:
-        # H(t) = e^{(beta-mu) t}, exactly so when ratio == 1
-        return ConvexityVerdict(ConvexityKind.LOG_AFFINE, ratio, exponent=params.beta - params.mu)
-    if ratio > 1.0:
-        return ConvexityVerdict(ConvexityKind.LOG_CONVEX, ratio)
-    if 0.0 < ratio < 1.0:
-        return ConvexityVerdict(ConvexityKind.LOG_CONCAVE, ratio)
-    return ConvexityVerdict(ConvexityKind.NOT_COVERED, ratio)
+    r = abs(ratio)
+    if abs(r - 1.0) <= ZERO_BAND_EPS:
+        # H(t) = e^{(beta-mu) t} at ratio 1, -e^{(alpha-mu) t} at ratio -1
+        anchor = params.beta if ratio > 0.0 else params.alpha
+        return ConvexityVerdict(ConvexityKind.LOG_AFFINE, ratio, exponent=anchor - params.mu)
+    kind = ConvexityKind.LOG_CONVEX if r > 1.0 else ConvexityKind.LOG_CONCAVE
+    return ConvexityVerdict(kind, ratio)
 
 
 # Reduction to the two-exponent form: (ln H)'''(t) = (lam-mu)^3 times the
 # third log-derivative of Q at w = (lam-mu)t.  The odd power flips the sign
 # exactly when the substitution flips the half-lines, so the two effects
-# cancel and the verdict depends on the ratio alone, read here from the
-# convexity kind.
+# cancel and the verdict depends on |ratio| alone, read here from the
+# convexity kind; log-affine H has every log-derivative of order >= 2 at 0.
 _THIRD_ORDER = {
     ConvexityKind.LOG_CONCAVE: ThirdOrderVerdict(ThirdOrderKind.CONVEX_POS_CONCAVE_NEG),
     ConvexityKind.LOG_CONVEX: ThirdOrderVerdict(ThirdOrderKind.CONCAVE_POS_CONVEX_NEG),
-    ConvexityKind.LOG_AFFINE: ThirdOrderVerdict(ThirdOrderKind.NOT_COVERED),
-    ConvexityKind.NOT_COVERED: ThirdOrderVerdict(ThirdOrderKind.NOT_COVERED),
+    ConvexityKind.LOG_AFFINE: ThirdOrderVerdict(ThirdOrderKind.LOG_AFFINE),
 }
 
 

@@ -39,7 +39,6 @@ of each log term analytically and stencils only the bounded remainder.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -280,9 +279,9 @@ def four_log_sign_change_search(params: HParams, interval: Interval) -> float | 
     """Locate a sign change of the 4th log-derivative on one half line.
 
     Rejects parameter sets with (alpha-beta)/(lam-mu) equal to 0 or, within
-    the classifier's zero band, to 1: those are log-affine, and every higher
-    log-derivative vanishes identically.  Scans GridSpec's points on the
-    half line, |t| from 1e-8 to 1e3, for adjacent points with confident
+    the classifier's zero band, to +-1: those are log-affine, and every
+    higher log-derivative vanishes identically.  Scans GridSpec's points on
+    the half line, |t| from 1e-8 to 1e3, for adjacent points with confident
     opposite signs, preferring the pair farthest above the noise floor,
     then bisects to a relative bracket width of 1e-6.  Returns the crossing
     point, or None when the probes show none.
@@ -373,11 +372,14 @@ _SIGNS = {
     ThirdOrderKind.CONVEX_POS_CONCAVE_NEG: 1,
     ThirdOrderKind.CONCAVE_POS_CONVEX_NEG: -1,
 }
+# every scan a report can claim, {order: intervals}
+_CLAIMED = {1: tuple(Interval), 2: (Interval.WHOLE_LINE,),
+            3: (Interval.POSITIVE_HALF_LINE, Interval.NEGATIVE_HALF_LINE)}
 
 
 def _claims(report) -> list[tuple]:
     """The classifier's verdicts as claims (order, interval, sign, check
-    tag, claimed value); log-affine and not-covered claim no sign."""
+    tag, claimed value); log-affine claims no sign at orders 2 and 3."""
     claims = []
     for interval in Interval:
         direction = report.monotonicity[interval].direction
@@ -407,10 +409,7 @@ def _check_chunk(draws: list[HParams]) -> list[tuple[str, dict | None]]:
     """
     reports = [classify_H(p) for p in draws]
     claims = [_claims(report) for report in reports]
-    wanted: dict[int, dict[Interval, None]] = {}  # ordered sets
-    for order, interval, *_ in itertools.chain.from_iterable(claims):
-        wanted.setdefault(order, {})[interval] = None
-    return [_judge(*row) for row in zip(draws, reports, claims, _scan(draws, wanted))]
+    return [_judge(*row) for row in zip(draws, reports, claims, _scan(draws, _CLAIMED))]
 
 
 def _judge(params, report, claims, scans) -> tuple[str, dict | None]:

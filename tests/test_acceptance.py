@@ -130,23 +130,35 @@ def _draw_with_ratio(rng, predicate, n):
 
 
 def test_criterion_05_log_convexity(rng):
-    """Order-2 sign scans match the ratio criterion for 500 + 500 draws."""
+    """Order-2 sign scans match the |ratio| criterion for 4 x 500 draws."""
     for p in _draw_with_ratio(rng, lambda r: r > 1.0, 500):
         v = grid_klog_sign_check(p, Interval.WHOLE_LINE, 2)
         assert v.fall_count == 0, (p, v)  # (ln H)'' >= -1e-8 everywhere
     for p in _draw_with_ratio(rng, lambda r: 0.0 < r < 1.0, 500):
         v = grid_klog_sign_check(p, Interval.WHOLE_LINE, 2)
         assert v.rise_count == 0, (p, v)  # (ln H)'' <= +1e-8 everywhere
-    _passed(5, "500 log-convex + 500 log-concave draws: no opposing sign witness")
+    # a negative ratio is decided by its magnitude
+    for p in _draw_with_ratio(rng, lambda r: r < -1.0, 500):
+        v = grid_klog_sign_check(p, Interval.WHOLE_LINE, 2)
+        assert v.fall_count == 0, (p, v)
+    for p in _draw_with_ratio(rng, lambda r: -1.0 < r < 0.0, 500):
+        v = grid_klog_sign_check(p, Interval.WHOLE_LINE, 2)
+        assert v.rise_count == 0, (p, v)
+    _passed(5, "1000 log-convex + 1000 log-concave draws, ratio of either sign: "
+               "no opposing sign witness")
 
 
 def test_criterion_06_three_log_cases(rng):
-    """Order-3 sign scans match the third-order verdict in all 4 regimes."""
+    """Order-3 sign scans match the third-order verdict in all 8 regimes."""
     regimes = [
         (lambda p: p.lam > p.mu, lambda r: 0.0 < r < 1.0, True),
         (lambda p: p.lam > p.mu, lambda r: r > 1.0, False),
         (lambda p: p.lam < p.mu, lambda r: 0.0 < r < 1.0, True),
         (lambda p: p.lam < p.mu, lambda r: r > 1.0, False),
+        (lambda p: p.lam > p.mu, lambda r: -1.0 < r < 0.0, True),
+        (lambda p: p.lam > p.mu, lambda r: r < -1.0, False),
+        (lambda p: p.lam < p.mu, lambda r: -1.0 < r < 0.0, True),
+        (lambda p: p.lam < p.mu, lambda r: r < -1.0, False),
     ]
     for order_pred, ratio_pred, convex_pos in regimes:
         n = 0
@@ -161,7 +173,7 @@ def test_criterion_06_three_log_cases(rng):
                 assert pos.fall_count == 0 and neg.rise_count == 0, p
             else:
                 assert pos.rise_count == 0 and neg.fall_count == 0, p
-    _passed(6, "500 draws x 4 regimes: order-3 signs match verdict on both half-lines")
+    _passed(6, "500 draws x 8 regimes: order-3 signs match verdict on both half-lines")
 
 
 def test_criterion_07_fourth_order_sign_change(rng):

@@ -18,10 +18,11 @@ from expratio import (
     classify_Q,
     compute_invariants,
     decision_table,
+    eval_H,
 )
 from expratio.classify import zero_band_width
 
-from conftest import random_hparams
+from conftest import random_hparams, same_bits
 
 _coord = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
 hparams_st = (
@@ -243,7 +244,7 @@ class TestConvexity:
         v = classify_log_convexity_H(p)
         assert v.kind is ConvexityKind.LOG_AFFINE and v.ratio != 1.0
         assert v.exponent == -1.0
-        assert classify_H(p).third_order.kind is ThirdOrderKind.NOT_COVERED
+        assert classify_H(p).third_order.kind is ThirdOrderKind.LOG_AFFINE
         assert classify_H(p).zero_band_hits == ("ratio",)
 
     def test_ratio_outside_band(self):
@@ -251,9 +252,41 @@ class TestConvexity:
         assert classify_log_convexity_H(p).kind is ConvexityKind.LOG_CONVEX
         assert "ratio" not in classify_H(p).zero_band_hits
 
-    def test_negative_ratio_not_covered(self):
+    def test_negative_ratio_by_magnitude(self):
+        # H(a, b, l, m) = -H(b, a, l, m): |ratio| decides, the ratio keeps its sign
         v = classify_log_convexity_H(HParams(1, 0, 0, 2))
-        assert v.kind is ConvexityKind.NOT_COVERED
+        assert v.kind is ConvexityKind.LOG_CONCAVE and v.ratio == -0.5
+        v = classify_log_convexity_H(HParams(4, 0, 0, 2))
+        assert v.kind is ConvexityKind.LOG_CONVEX and v.ratio == -2.0
+        # ratio -1: H(2, 0, 1, 3) = -e^{-t}, exponent alpha - mu
+        p = HParams(2, 0, 1, 3)
+        v = classify_log_convexity_H(p)
+        assert v.kind is ConvexityKind.LOG_AFFINE and v.ratio == -1.0
+        assert v.exponent == -1.0
+        for t in (-3.0, 0.5, 2.0):
+            assert eval_H(p, t) == pytest.approx(-math.exp(-t), rel=1e-14)
+        report = classify_H(p)
+        assert report.third_order.kind is ThirdOrderKind.LOG_AFFINE
+        assert report.zero_band_hits == ("ratio",)
+
+    def test_mirror_swaps_sign_of_ratio_only(self, rng):
+        # swapping alpha and beta negates H, so |H| and every log-derivative
+        # stay; one draw in four sits on ratio = 1, where the mirror has
+        # ratio -1 and the same exponent
+        n = 0
+        while n < 1000:
+            a, b, l, m = rng.uniform(-5.0, 5.0, size=4)
+            if n % 4 == 0:
+                m = l - (a - b)
+            if min(abs(a - b), abs(l - m), abs(a - l), abs(a - m), abs(b - l), abs(b - m)) < 0.05:
+                continue
+            n += 1
+            h = classify_H(HParams(a, b, l, m))
+            mirror = classify_H(HParams(b, a, l, m))
+            assert mirror.convexity.kind is h.convexity.kind, (a, b, l, m)
+            assert mirror.third_order.kind is h.third_order.kind, (a, b, l, m)
+            assert mirror.convexity.exponent == h.convexity.exponent, (a, b, l, m)
+            assert same_bits(mirror.convexity.ratio, -h.convexity.ratio), (a, b, l, m)
 
 
 class TestThirdOrder:
@@ -266,7 +299,11 @@ class TestThirdOrder:
             classify_H(HParams(4, 0, 2, 0)).third_order.kind
             is ThirdOrderKind.CONCAVE_POS_CONVEX_NEG
         )
-        assert classify_H(HParams(1, 0, 0, 2)).third_order.kind is ThirdOrderKind.NOT_COVERED
+        # ratio -0.5: the verdict of |ratio| = 0.5
+        assert (
+            classify_H(HParams(1, 0, 0, 2)).third_order.kind
+            is ThirdOrderKind.CONVEX_POS_CONCAVE_NEG
+        )
 
     def test_depends_on_ratio_only(self):
         # same ratio through both orderings of the denominator exponents

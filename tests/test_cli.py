@@ -237,7 +237,7 @@ class TestClassify:
         code, out, _ = run_cli(capsys, "classify", "Q", "1.3", "2.3", "--format", "json")
         doc = json.loads(out)
         assert doc["log_convex"] is False and doc["log_concave"] is False
-        assert doc["third_order"]["kind"] == "not-covered"
+        assert doc["third_order"]["kind"] == "log-affine"
         assert doc["zero_band_hits"] == ["ratio"]
 
     def test_H_ratio_one_in_band(self, capsys):
@@ -248,7 +248,22 @@ class TestClassify:
         doc = json.loads(out)
         assert doc["convexity"]["kind"] == "log-affine"
         assert doc["convexity"]["exponent"] == -1.0
-        assert doc["third_order"]["kind"] == "not-covered"
+        assert doc["third_order"]["kind"] == "log-affine"
+        assert doc["zero_band_hits"] == ["ratio"]
+
+    def test_negative_ratio_classified(self, capsys):
+        # ratio -0.5 reads as |ratio| = 0.5; Q with alpha > beta has ratio < 0
+        code, out, _ = run_cli(capsys, "classify", "H", "1", "0", "0", "2", "--format", "json")
+        doc = json.loads(out)
+        assert code == 0 and doc["convexity"]["kind"] == "log-concave"
+        assert doc["third_order"]["kind"] == (
+            "3-log-convex on (0,inf), 3-log-concave on (-inf,0)"
+        )
+        # Q_{2,1}(t) = -e^{-t}: ratio -1, log-affine
+        code, out, _ = run_cli(capsys, "classify", "Q", "2", "1", "--format", "json")
+        doc = json.loads(out)
+        assert code == 0 and doc["third_order"] == {"kind": "log-affine"}
+        assert doc["log_convex"] is False and doc["log_concave"] is False
         assert doc["zero_band_hits"] == ["ratio"]
 
     def test_exact_ratio_one_listed(self, capsys):

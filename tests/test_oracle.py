@@ -198,6 +198,11 @@ class TestFourLogSearch:
         with pytest.raises(ValueError):
             four_log_sign_change_search(HParams(1.3, 0.3, 2.3, 1.3), Interval.POSITIVE_HALF_LINE)
 
+    def test_log_affine_negative_ratio_rejected(self):
+        # H = -e^{-t}: ratio -1
+        with pytest.raises(ValueError):
+            four_log_sign_change_search(HParams(2, 0, 1, 3), Interval.POSITIVE_HALF_LINE)
+
     def test_whole_line_rejected(self):
         with pytest.raises(ValueError):
             four_log_sign_change_search(HParams(1, 0, 2, 0), Interval.WHOLE_LINE)
@@ -230,7 +235,8 @@ class TestCrossValidate:
 def _family_draws(family: str, n: int, seed: int) -> list[HParams]:
     """n exponent quadruples on one decision boundary: A = 0 (mu = alpha +
     beta - lambda), C = 0 (lambda = max(alpha, beta)), E = 0 (mu =
-    min(alpha, beta)) or ratio = 1 (mu = lambda - (alpha - beta))."""
+    min(alpha, beta)), ratio = 1 (mu = lambda - (alpha - beta)) or ratio =
+    -1 (mu = lambda + (alpha - beta))."""
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < n:
@@ -243,6 +249,8 @@ def _family_draws(family: str, n: int, seed: int) -> list[HParams]:
             m = min(a, b)
         elif family == "ratio1":
             m = l - (a - b)
+        elif family == "ratio-1":
+            m = l + (a - b)
         if min(abs(a - b), abs(l - m)) < 0.05:
             continue
         try:
@@ -252,7 +260,7 @@ def _family_draws(family: str, n: int, seed: int) -> list[HParams]:
     return out
 
 
-@pytest.mark.parametrize("family", ["A0", "C0", "E0", "ratio1"])
+@pytest.mark.parametrize("family", ["A0", "C0", "E0", "ratio1", "ratio-1"])
 def test_boundary_families_clean(family):
     # rounding puts these draws on either side of the boundary, so the
     # classifier must flag them through its zero band rather than guess
