@@ -150,8 +150,8 @@ def compute_invariants(params: HParams) -> InvariantSet:
 
 def _band(params: HParams) -> tuple[float, float]:
     """(zero_band_width(params), p2), p2 being the largest power of two not
-    above scale = max(1, |alpha|, |beta|, |lam|, |mu|)."""
-    scale = max(1.0, abs(params.alpha), abs(params.beta), abs(params.lam), abs(params.mu))
+    above scale = max(|alpha|, |beta|, |lam|, |mu|)."""
+    scale = max(abs(params.alpha), abs(params.beta), abs(params.lam), abs(params.mu))
     p2 = math.ldexp(1.0, math.frexp(scale)[1] - 1)
     return ZERO_BAND_EPS * (scale / p2) * (scale / p2), p2
 
@@ -159,13 +159,16 @@ def _band(params: HParams) -> tuple[float, float]:
 def zero_band_width(params: HParams) -> float:
     """Half-width of the ambiguity band for invariant sign tests, applied to
     the invariants of the parameters divided by p2, the largest power of two
-    not above scale = max(1, |alpha|, |beta|, |lam|, |mu|).
+    not above scale = max(|alpha|, |beta|, |lam|, |mu|).
 
     The invariants are quadratic in the parameters, and dividing by a power
     of two only shifts exponents, so those are the invariants divided by
     p2^2, rounded alike, and this band is ZERO_BAND_EPS * scale^2 / p2^2.
     Unlike the unscaled band and invariants it never overflows: the width
     lies in [ZERO_BAND_EPS, 4 ZERO_BAND_EPS) for every finite parameter set.
+    The band is relative at every scale: H(c p)(t) = H(p)(c t), so for
+    c = 2^k the scaled invariants, and every verdict, do not change, as
+    long as no parameter is subnormal.
     """
     return _band(params)[0]
 

@@ -23,13 +23,17 @@ no second, wider grid to retry on.  Each classifier verdict is a claimed
 sign of one log-derivative on one interval, and one rule checks every
 claim (``_check_chunk``; ``_check_one`` is its one-draw case).
 
-``cross_validate`` checks its draws 32 at a time: one ``log_derivs_h`` call
-takes the chunk's parameters as arrays, one row per draw, and one
-``_verdicts`` pass counts and picks witnesses along each row.  The kernel
-evaluates each distinct |t| once (206 of the 411 probes) and reads t < 0
-by parity.  Its cost is mostly fixed per call, so a chunk pays it once
-for 32 draws.  Every value is elementwise in its row, so a draw's values
-and verdicts are the same bits alone and in any chunk.
+``cross_validate`` checks its draws 32 at a time, and ``_check_chunk`` is
+the only place that handles many draws: one ``log_derivs_h`` call
+(``_probes``) takes the chunk's parameters as arrays, one row per draw,
+and every claim of every draw is judged from (draws x claims) masks of
+where a confident rise or fall was seen.  The kernel evaluates each
+distinct |t| once (206 of the 411 probes) and reads t < 0 by parity.  Its
+cost is mostly fixed per call, so a chunk pays it once for 32 draws.
+Every value is elementwise in its row, so a draw's values and outcome are
+the same bits alone and in any chunk.  An ``OracleVerdict`` is built only
+for a contradiction's detail and for the public one-draw scans
+(``grid_monotonicity_check``, ``grid_klog_sign_check``).
 
 ``numeric_log_derivative`` stays as the independent finite-difference check
 of those values: central differences through the kernel's noise-controlled
@@ -39,7 +43,6 @@ of each log term analytically and stencils only the bounded remainder.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,44 +143,23 @@ class OracleVerdict:
         return self.fall_count > 0
 
 
-def _verdicts(
-    ts: np.ndarray, probes: np.ndarray, cuts: np.ndarray, parts: dict
-) -> dict:
-    """Classify signed probes (rows, len(ts)) against per-point noise cuts,
-    once per selection in parts ({key: slice or index array}); returns
-    {key: [OracleVerdict per row]}.  A witness is the first probe of the
-    strongest rise or fall along the row."""
+def _verdict(ts: np.ndarray, probes: np.ndarray, cuts: np.ndarray) -> OracleVerdict:
+    """Classify one row of signed probes against its per-point noise cuts.
+    A witness is the first probe of the strongest rise or fall."""
     up = probes > cuts
     dn = probes < -cuts
-    rise = np.where(up, probes, -np.inf)
-    fall = np.where(dn, probes, np.inf)
-    rows = np.arange(probes.shape[0])
-    out = {}
-    for key, s in parts.items():
-        pts = ts[s]
-        top = np.argmax(rise[:, s], axis=1)
-        bottom = np.argmin(fall[:, s], axis=1)
-        columns = zip(
-            np.count_nonzero(up[:, s], axis=1).tolist(),
-            np.count_nonzero(dn[:, s], axis=1).tolist(),
-            rise[:, s][rows, top].tolist(),
-            fall[:, s][rows, bottom].tolist(),
-            pts[top].tolist(),
-            pts[bottom].tolist(),
-        )
-        verdicts = []
-        for n_up, n_dn, top_rise, top_fall, t_up, t_dn in columns:
-            if n_up and n_dn:
-                v = OracleVerdict("both", n_up, n_dn, min(top_rise, -top_fall), (t_up, t_dn))
-            elif n_up:
-                v = OracleVerdict("rises", n_up, 0, 0.0, (t_up,))
-            elif n_dn:
-                v = OracleVerdict("falls", 0, n_dn, 0.0, (t_dn,))
-            else:
-                v = OracleVerdict("flat", 0, 0, 0.0, ())
-            verdicts.append(v)
-        out[key] = verdicts
-    return out
+    n_up, n_dn = int(np.count_nonzero(up)), int(np.count_nonzero(dn))
+    top = np.argmax(np.where(up, probes, -np.inf))
+    bottom = np.argmin(np.where(dn, probes, np.inf))
+    t_up, t_dn = float(ts[top]), float(ts[bottom])
+    if n_up and n_dn:
+        return OracleVerdict("both", n_up, n_dn, min(float(probes[top]), -float(probes[bottom])),
+                             (t_up, t_dn))
+    if n_up:
+        return OracleVerdict("rises", n_up, 0, 0.0, (t_up,))
+    if n_dn:
+        return OracleVerdict("falls", 0, n_dn, 0.0, (t_dn,))
+    return OracleVerdict("flat", 0, 0, 0.0, ())
 
 
 def _default_step(t, order: int):
@@ -228,38 +210,40 @@ def numeric_log_derivative(
     return est, err
 
 
-def _scan(
-    draws: list[HParams], wanted: dict[int, Iterable[Interval]]
-) -> list[dict[int, dict[Interval, OracleVerdict]]]:
-    """Sign scans of the order-k log-derivatives over GridSpec's probes,
-    for the intervals wanted[k], from one kernel pass for all draws and all
-    orders; one {order: {interval: verdict}} per draw.  Every order reads
-    the same probes on an interval, and a draw's values are the same bits
-    alone and among others.
+def _probes(
+    draws: list[HParams], orders: tuple[int, ...]
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """The order-k log-derivatives on GridSpec's probes and their noise
+    cuts, {k: (probes, cuts)} with one row per draw, from one kernel pass for
+    all draws and orders.
 
-    Order 1 is scanned as sign(H) * (ln|H|)', the derivative of
+    Order 1 is signed as sign(H) * (ln|H|)', the derivative of
     sign(H) * ln|H|, which is monotone in t exactly when H is, because
     sign(H) = sign((alpha-beta)(lam-mu)) is constant in t.  A probe is a
-    witness beyond SIGN_MARGIN plus the kernel's roundoff floor.
+    witness beyond its cut, SIGN_MARGIN plus the kernel's roundoff floor.
     """
-    ts, parts = GridSpec._ts, GridSpec._parts
     rows = [p.as_tuple() for p in draws]
-    derivs = _kernels_py.log_derivs_h(*np.array(rows).T, ts, tuple(wanted))
-    out = [{} for _ in draws]
-    for k, intervals in wanted.items():
-        value, bound = derivs[k]
+    derivs = _kernels_py.log_derivs_h(*np.array(rows).T, GridSpec._ts, orders)
+    out = {}
+    for k, (value, bound) in derivs.items():
         if k == 1:
             value = value * np.array([_kernels_py.h_sign(*row) for row in rows])[:, None]
-        verdicts = _verdicts(ts, value, SIGN_MARGIN + bound, {iv: parts[iv] for iv in intervals})
-        for i, scans in enumerate(out):
-            scans[k] = {iv: verdicts[iv][i] for iv in intervals}
+        out[k] = (value, SIGN_MARGIN + bound)
     return out
+
+
+def _scan(params: HParams, k: int, interval: Interval) -> OracleVerdict:
+    """Sign scan of the order-k log-derivative of one draw over GridSpec's
+    probes on the interval; every order reads the same probes there."""
+    probes, cuts = _probes([params], (k,))[k]
+    s = GridSpec._parts[interval]
+    return _verdict(GridSpec._ts[s], probes[0, s], cuts[0, s])
 
 
 def grid_monotonicity_check(params: HParams, interval: Interval) -> OracleVerdict:
     """Scan for rise/fall witnesses of H on the interval: the sign of
     sign(H) * (ln|H|)' on GridSpec's probes."""
-    return _scan([params], {1: (interval,)})[0][1][interval]
+    return _scan(params, 1, interval)
 
 
 def grid_klog_sign_check(params: HParams, interval: Interval, k: int) -> OracleVerdict:
@@ -272,14 +256,14 @@ def grid_klog_sign_check(params: HParams, interval: Interval, k: int) -> OracleV
     """
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
-    return _scan([params], {k: (interval,)})[0][k][interval]
+    return _scan(params, k, interval)
 
 
 def four_log_sign_change_search(params: HParams, interval: Interval) -> float | None:
     """Locate a sign change of the 4th log-derivative on one half line.
 
-    Rejects parameter sets with (alpha-beta)/(lam-mu) equal to 0 or, within
-    the classifier's zero band, to +-1: those are log-affine, and every
+    Rejects parameter sets with (alpha-beta)/(lam-mu) equal, within the
+    classifier's zero band, to +-1: those are log-affine, and every
     higher log-derivative vanishes identically.  Scans GridSpec's points on
     the half line, |t| from 1e-8 to 1e3, for adjacent points with confident
     opposite signs, preferring the pair farthest above the noise floor,
@@ -289,7 +273,7 @@ def four_log_sign_change_search(params: HParams, interval: Interval) -> float | 
     if interval is Interval.WHOLE_LINE:
         raise ValueError("search runs on one half line at a time")
     convexity = classify_log_convexity_H(params)
-    if convexity.ratio == 0.0 or convexity.kind is ConvexityKind.LOG_AFFINE:
+    if convexity.kind is ConvexityKind.LOG_AFFINE:
         raise ValueError("log-affine parameters: order-4 log-derivative is identically 0")
     ts = GridSpec().points(interval)
     a, b, l, m = params.as_tuple()
@@ -362,7 +346,7 @@ def _contradiction(params, check, claimed, oracle: OracleVerdict) -> dict:
 
 # the sign each verdict claims for its log-derivative on every probe (0:
 # witnesses of both signs); a third-order kind gives the sign on (0, inf),
-# and (-inf, 0) has the other
+# and (-inf, 0) has the other.  Log-affine claims no sign at orders 2 and 3.
 _SIGNS = {
     Direction.INCREASING: 1,
     Direction.DECREASING: -1,
@@ -372,32 +356,25 @@ _SIGNS = {
     ThirdOrderKind.CONVEX_POS_CONCAVE_NEG: 1,
     ThirdOrderKind.CONCAVE_POS_CONVEX_NEG: -1,
 }
-# every scan a report can claim, {order: intervals}
-_CLAIMED = {1: tuple(Interval), 2: (Interval.WHOLE_LINE,),
-            3: (Interval.POSITIVE_HALF_LINE, Interval.NEGATIVE_HALF_LINE)}
+# every claim a report makes, in the order they are judged: (order,
+# interval, check tag)
+_CHECKS = tuple((1, iv, f"monotonicity {iv.value}") for iv in Interval) + (
+    (2, Interval.WHOLE_LINE, "log-convexity"),
+    (3, Interval.POSITIVE_HALF_LINE, "3-log (0,inf)"),
+    (3, Interval.NEGATIVE_HALF_LINE, "3-log (-inf,0)"),
+)
 
 
-def _claims(report) -> list[tuple]:
-    """The classifier's verdicts as claims (order, interval, sign, check
-    tag, claimed value); log-affine claims no sign at orders 2 and 3."""
-    claims = []
-    for interval in Interval:
-        direction = report.monotonicity[interval].direction
-        claims.append((1, interval, _SIGNS[direction], f"monotonicity {interval.value}",
-                       direction.value))
-    convexity, third = report.convexity.kind, report.third_order.kind
-    if convexity in _SIGNS:
-        claims.append((2, Interval.WHOLE_LINE, _SIGNS[convexity], "log-convexity",
-                       convexity.value))
-    if third in _SIGNS:
-        claims.append((3, Interval.POSITIVE_HALF_LINE, _SIGNS[third], "3-log (0,inf)", third.value))
-        claims.append((3, Interval.NEGATIVE_HALF_LINE, -_SIGNS[third], "3-log (-inf,0)", third.value))
-    return claims
+def _claimed(report) -> list:
+    """The verdict behind each of _CHECKS."""
+    third = report.third_order.kind
+    return [report.monotonicity[iv].direction for iv in Interval] + [
+        report.convexity.kind, third, third]
 
 
 def _check_chunk(draws: list[HParams]) -> list[tuple[str, dict | None]]:
     """Check every classifier verdict for each draw against GridSpec scans,
-    all draws in one scan pass.
+    all draws in one kernel pass.
 
     Returns ("agree" | "skip" | "contradiction", detail) per draw.  One
     rule checks every claim: a confident opposing probe is a contradiction;
@@ -406,23 +383,34 @@ def _check_chunk(draws: list[HParams]) -> list[tuple[str, dict | None]]:
     skip (a tie is invisible at probe resolution), as does a zero-band hit.
     The conditions are if-and-only-if, and (ln|H|)' changes sign at most
     once, so the probes hold one on each side of a turning point.
+
+    The claims are judged from (draws x claims) masks: the claimed signs
+    (NaN where no sign is claimed) and whether any probe of the claim's
+    scan rises or falls.  Only a contradiction builds an OracleVerdict,
+    for the first contradicted claim of its draw, from a one-draw scan.
     """
     reports = [classify_H(p) for p in draws]
-    claims = [_claims(report) for report in reports]
-    return [_judge(*row) for row in zip(draws, reports, claims, _scan(draws, _CLAIMED))]
-
-
-def _judge(params, report, claims, scans) -> tuple[str, dict | None]:
-    """One draw's outcome from its claims and scans, by _check_chunk's rule."""
-    skip = bool(report.zero_band_hits)
-    for order, interval, sign, check, claimed in claims:
-        oracle = scans[order][interval]
-        confirms, opposes = (oracle.falls, oracle.rises) if sign < 0 else (oracle.rises, oracle.falls)
-        contradicted = opposes if sign else not (confirms and opposes)
-        if contradicted:
-            return "contradiction", _contradiction(params, check, claimed, oracle)
-        skip = skip or not confirms
-    return ("skip" if skip else "agree"), None
+    claimed = [_claimed(report) for report in reports]
+    signs = np.array([[_SIGNS.get(v, np.nan) for v in row] for row in claimed])
+    signs[:, -1] *= -1  # the third-order sign on (-inf, 0)
+    probes = _probes(draws, (1, 2, 3))
+    parts = GridSpec._parts
+    up = {k: value > cuts for k, (value, cuts) in probes.items()}
+    dn = {k: value < -cuts for k, (value, cuts) in probes.items()}
+    rise = np.column_stack([up[k][:, parts[iv]].any(axis=1) for k, iv, _ in _CHECKS])
+    fall = np.column_stack([dn[k][:, parts[iv]].any(axis=1) for k, iv, _ in _CHECKS])
+    pos, neg = signs > 0, signs < 0
+    contradicted = pos & fall | neg & rise | (signs == 0) & ~(rise & fall)
+    unconfirmed = pos & ~rise | neg & ~fall
+    skip = unconfirmed.any(axis=1) | [bool(r.zero_band_hits) for r in reports]
+    out = [(kind, None) for kind in np.where(skip, "skip", "agree").tolist()]
+    for i in np.flatnonzero(contradicted.any(axis=1)).tolist():
+        j = int(contradicted[i].argmax())
+        k, interval, check = _CHECKS[j]
+        p = draws[i]
+        detail = _contradiction(p, check, claimed[i][j].value, _scan(p, k, interval))
+        out[i] = ("contradiction", detail)
+    return out
 
 
 def _check_one(params: HParams) -> tuple[str, dict | None]:

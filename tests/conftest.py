@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from expratio import HParams
+from expratio.params import ParameterError
 
 DPS = 60
 
@@ -91,6 +92,34 @@ def random_hparams(rng, n, min_gap=0.05, span=5.0):
         gaps = [abs(vals[i] - vals[j]) for i in range(4) for j in range(i + 1, 4)]
         if min(gaps) >= min_gap:
             out.append(HParams(a, b, l, m))
+    return out
+
+
+def family_draws(family: str, n: int, seed: int) -> list[HParams]:
+    """n exponent quadruples on one decision boundary: A = 0 (mu = alpha +
+    beta - lambda), C = 0 (lambda = max(alpha, beta)), E = 0 (mu =
+    min(alpha, beta)), ratio = 1 (mu = lambda - (alpha - beta)) or ratio =
+    -1 (mu = lambda + (alpha - beta))."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        a, b, l, m = rng.uniform(-5.0, 5.0, size=4)
+        if family == "A0":
+            m = a + b - l
+        elif family == "C0":
+            l = max(a, b)
+        elif family == "E0":
+            m = min(a, b)
+        elif family == "ratio1":
+            m = l - (a - b)
+        elif family == "ratio-1":
+            m = l + (a - b)
+        if min(abs(a - b), abs(l - m)) < 0.05:
+            continue
+        try:
+            out.append(HParams(a, b, l, m))
+        except ParameterError:
+            continue
     return out
 
 

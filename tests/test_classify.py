@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from expratio import (
 )
 from expratio.classify import zero_band_width
 
-from conftest import random_hparams, same_bits
+from conftest import family_draws, random_hparams, same_bits
 
 _coord = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
 hparams_st = (
@@ -167,7 +168,7 @@ class TestMonotonicity:
 
 class TestZeroBandAtHugeScale:
     # the band is ZERO_BAND_EPS * scale^2 on the invariants, which overflows
-    # once scale = max(1, |alpha|, |beta|, |lam|, |mu|) passes about 1.3e160
+    # once scale = max(|alpha|, |beta|, |lam|, |mu|) passes about 1.3e160
 
     @pytest.mark.parametrize("scale", [1e154, 1e200, 1.7e308])
     def test_width_finite(self, scale):
@@ -208,7 +209,7 @@ class TestZeroBandAtHugeScale:
                 if min(abs(a - b), abs(l - m)) < 0.05 * scale:
                     continue
                 p = HParams(a, b, l, m)
-                width = 1e-12 * max(1.0, abs(a), abs(b), abs(l), abs(m)) ** 2
+                width = 1e-12 * max(abs(a), abs(b), abs(l), abs(m)) ** 2
                 inv = compute_invariants(p).as_dict()
                 want = tuple(n for n in tested[l > m] if abs(inv[n]) <= width)
                 got = tuple(h for h in classify_H(p).zero_band_hits if h != "ratio")
@@ -222,6 +223,35 @@ class TestZeroBandAtHugeScale:
         report = classify_H(p)
         assert report.invariants.A == zero_band_width(p) == 1e-12
         assert report.zero_band_hits == ("A", "C")
+
+
+def _report_key(report):
+    return (
+        tuple(report.monotonicity[iv].direction for iv in Interval),
+        report.convexity.kind,
+        report.third_order.kind,
+        report.zero_band_hits,
+    )
+
+
+def test_power_of_two_scale_keeps_verdicts(rng):
+    # H(c p)(t) = H(p)(c t), so for c > 0 every log-derivative keeps its
+    # sign on each half line; for c = 2^k the scaled invariants and the
+    # ratio are the same bits, as long as no parameter is subnormal
+    draws = random_hparams(rng, 500)
+    for family in ("A0", "C0", "E0", "ratio1", "ratio-1"):
+        draws += family_draws(family, 100, seed=9)
+    checked = 0
+    for p in draws:
+        k = int(rng.integers(-1000, 1001))
+        scaled = [math.ldexp(x, k) for x in p.as_tuple()]
+        if any(0.0 < abs(x) < sys.float_info.min for x in scaled):
+            continue
+        want, got = classify_H(p), classify_H(HParams(*scaled))
+        assert _report_key(got) == _report_key(want), (p, k)
+        assert same_bits(got.convexity.ratio, want.convexity.ratio), (p, k)
+        checked += 1
+    assert checked > 900
 
 
 class TestConvexity:

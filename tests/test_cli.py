@@ -170,6 +170,18 @@ class TestClassify:
             del doc["function"], doc["params"]
         assert doc_p == doc_h
 
+    def test_P_bases_near_one(self, capsys):
+        # the logarithms of the bases are about 1e-7 apart: a band with a
+        # floor at scale 1 took every invariant for 0 and read "increasing"
+        args = ("classify", "P", "1.0000001", "1.0000003", "1.0000002", "1.0000007")
+        code, out, _ = run_cli(capsys, *args, "--format", "json")
+        doc = json.loads(out)
+        assert code == 0 and doc["zero_band_hits"] == []
+        logs = PParams(*(float(x) for x in args[2:])).log_params()
+        for interval in expratio.Interval:
+            assert doc["monotonicity"][interval.value]["direction"] == "decreasing"
+            assert expratio.grid_monotonicity_check(logs, interval).direction == "falls"
+
     def test_P_equal_logarithms_exit_2(self, capsys):
         # the bases differ, but their logarithms are equal in double precision
         code, _, err = run_cli(capsys, "classify", "P", "1e10", "10000000000.000002", "5", "7")

@@ -20,16 +20,16 @@ from expratio.classify import ConvexityKind, Direction, ThirdOrderKind, classify
 from expratio.cli import main as cli_main
 from expratio.oracle import (
     SIGN_MARGIN,
-    OracleVerdict,
     _CHUNK,
+    _check_chunk,
     _check_one,
     _draw_params,
+    _probes,
     _scan,
-    _verdicts,
+    _verdict,
 )
-from expratio.params import ParameterError
 
-from conftest import mp_log_deriv_H, random_hparams, same_bits
+from conftest import family_draws, mp_log_deriv_H, random_hparams, same_bits
 
 E = math.e
 
@@ -207,6 +207,14 @@ class TestFourLogSearch:
         with pytest.raises(ValueError):
             four_log_sign_change_search(HParams(1, 0, 2, 0), Interval.WHOLE_LINE)
 
+    def test_underflowed_ratio_searched(self):
+        # alpha - beta, divided by the scale's power of two (2^996),
+        # underflows and the ratio reads 0.0: log-concave, not log-affine
+        p = HParams(1e-300, 0, 1e300, 0)
+        assert classify_H(p).convexity.kind is ConvexityKind.LOG_CONCAVE
+        for interval in (Interval.POSITIVE_HALF_LINE, Interval.NEGATIVE_HALF_LINE):
+            assert four_log_sign_change_search(p, interval) is None
+
 
 class TestCrossValidate:
     def test_small_sweep_clean(self):
@@ -232,39 +240,11 @@ class TestCrossValidate:
             cross_validate(0, seed=1)
 
 
-def _family_draws(family: str, n: int, seed: int) -> list[HParams]:
-    """n exponent quadruples on one decision boundary: A = 0 (mu = alpha +
-    beta - lambda), C = 0 (lambda = max(alpha, beta)), E = 0 (mu =
-    min(alpha, beta)), ratio = 1 (mu = lambda - (alpha - beta)) or ratio =
-    -1 (mu = lambda + (alpha - beta))."""
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < n:
-        a, b, l, m = rng.uniform(-5.0, 5.0, size=4)
-        if family == "A0":
-            m = a + b - l
-        elif family == "C0":
-            l = max(a, b)
-        elif family == "E0":
-            m = min(a, b)
-        elif family == "ratio1":
-            m = l - (a - b)
-        elif family == "ratio-1":
-            m = l + (a - b)
-        if min(abs(a - b), abs(l - m)) < 0.05:
-            continue
-        try:
-            out.append(HParams(a, b, l, m))
-        except ParameterError:
-            continue
-    return out
-
-
 @pytest.mark.parametrize("family", ["A0", "C0", "E0", "ratio1", "ratio-1"])
 def test_boundary_families_clean(family):
     # rounding puts these draws on either side of the boundary, so the
     # classifier must flag them through its zero band rather than guess
-    draws = _family_draws(family, 300, seed=5)
+    draws = family_draws(family, 300, seed=5)
     bad = [p for p in draws if _check_one(p)[0] == "contradiction"]
     assert bad == [], f"{len(bad)}/300 contradictions, first {bad[0].as_tuple()}"
 
@@ -295,15 +275,17 @@ def _report_with(params, monotonicity=None, convexity=None, third=None, **change
     return dataclasses.replace(report, **changes)
 
 
-def _flat_pos_third_order(scan):
+def _flat_pos_third_order(probes):
     # (ln|H|)''' is odd in t, so a wrong third-order kind is opposed on
-    # both half lines and (0, inf) is checked first; with no confident
-    # probe there, the (-inf, 0) check is the one that fires
-    def patched(draws, wanted):
-        out = scan(draws, wanted)
-        for scans in out:
-            if 3 in scans:
-                scans[3][_POS] = OracleVerdict("flat", 0, 0, 0.0, ())
+    # both half lines and (0, inf) is checked first; with its order-3
+    # probes there zeroed, the (-inf, 0) check is the one that fires
+    def patched(draws, orders):
+        out = probes(draws, orders)
+        if 3 in out:
+            value, cuts = out[3]
+            value = value.copy()
+            value[:, GridSpec._parts[_POS]] = 0.0
+            out[3] = (value, cuts)
         return out
     return patched
 
@@ -326,7 +308,7 @@ def test_wrong_report_contradicted(monkeypatch, wrong, flat_pos, want):
     assert _check_one(_DRAW) == ("agree", None)
     monkeypatch.setattr(oracle, "classify_H", lambda p: _report_with(p, **wrong))
     if flat_pos:
-        monkeypatch.setattr(oracle, "_scan", _flat_pos_third_order(oracle._scan))
+        monkeypatch.setattr(oracle, "_probes", _flat_pos_third_order(oracle._probes))
     outcome, detail = _check_one(_DRAW)
     assert outcome == "contradiction"
     assert (detail["check"], detail["claimed"], detail["oracle"]) == want
@@ -346,6 +328,82 @@ def test_unconfirmed_higher_order_claim_skips(monkeypatch, wrong, want):
     monkeypatch.setattr(oracle, "classify_H",
                         lambda p: _report_with(p, zero_band_hits=(), **wrong))
     assert _check_one(HParams(3, 1, 2, 0)) == (want, None)
+
+
+# the sign each verdict claims, written out apart from the oracle's table
+_CLAIM_SIGN = {
+    Direction.INCREASING: 1,
+    Direction.DECREASING: -1,
+    Direction.NON_MONOTONIC: 0,
+    ConvexityKind.LOG_CONVEX: 1,
+    ConvexityKind.LOG_CONCAVE: -1,
+    ThirdOrderKind.CONVEX_POS_CONCAVE_NEG: 1,
+    ThirdOrderKind.CONCAVE_POS_CONVEX_NEG: -1,
+}
+
+
+def _reference_judge(params, report):
+    """The claim rule, claim by claim, on the public one-draw scans: the
+    first claim opposed by a confident probe (or, for a non-monotonic
+    claim, lacking witnesses of both signs) is the contradiction; a claim
+    with no confirming probe, or a zero-band hit, makes a skip."""
+    claims = [(f"monotonicity {iv.value}", report.monotonicity[iv].direction, 1,
+               grid_monotonicity_check(params, iv)) for iv in Interval]
+    convexity, third = report.convexity.kind, report.third_order.kind
+    if convexity is not ConvexityKind.LOG_AFFINE:
+        claims.append(("log-convexity", convexity, 1, grid_klog_sign_check(params, _WHOLE, 2)))
+    if third is not ThirdOrderKind.LOG_AFFINE:
+        claims.append(("3-log (0,inf)", third, 1, grid_klog_sign_check(params, _POS, 3)))
+        claims.append(("3-log (-inf,0)", third, -1,
+                       grid_klog_sign_check(params, Interval.NEGATIVE_HALF_LINE, 3)))
+    skip = bool(report.zero_band_hits)
+    for check, claimed, flip, scan in claims:
+        sign = flip * _CLAIM_SIGN[claimed]
+        if sign > 0:
+            confirms, opposes = scan.rises, scan.falls
+        elif sign < 0:
+            confirms, opposes = scan.falls, scan.rises
+        else:
+            confirms, opposes = scan.rises, not (scan.rises and scan.falls)
+        if opposes:
+            return "contradiction", {
+                "params": params.as_tuple(),
+                "check": check,
+                "claimed": claimed.value,
+                "oracle": scan.direction,
+                "witnesses": scan.witness_points,
+            }
+        skip = skip or not confirms
+    return ("skip" if skip else "agree"), None
+
+
+@pytest.mark.parametrize("wrong", [
+    {},
+    dict(monotonicity={_POS: Direction.INCREASING}),
+    dict(monotonicity={_POS: Direction.NON_MONOTONIC}),
+    dict(monotonicity={_WHOLE: Direction.DECREASING}),
+    dict(convexity=ConvexityKind.LOG_CONVEX),
+    dict(third=_WRONG_THIRD),
+    dict(convexity=ConvexityKind.LOG_CONVEX, zero_band_hits=()),
+    dict(convexity=ConvexityKind.LOG_CONCAVE, zero_band_hits=()),
+])
+def test_mask_judge_matches_claim_rule(monkeypatch, wrong):
+    # generic draws and the five boundary families, in chunks of _CHUNK:
+    # the masks give each draw the outcome and detail of the rule above.
+    # Without the zero-band hits, a log-convex or log-concave claim on a
+    # log-affine H (ratio = +-1) is skipped only for having no confirming
+    # probe.
+    draws = random_hparams(np.random.default_rng(12), 24)
+    for family in ("A0", "C0", "E0", "ratio1", "ratio-1"):
+        draws += family_draws(family, 12, seed=7)
+    monkeypatch.setattr(oracle, "classify_H", lambda p: _report_with(p, **wrong))
+    want = [_reference_judge(p, oracle.classify_H(p)) for p in draws]
+    got = []
+    for i in range(0, len(draws), _CHUNK):
+        got += _check_chunk(draws[i:i + _CHUNK])
+    assert got == want
+    kinds = {kind for kind, _ in want}
+    assert "contradiction" in kinds if wrong else kinds == {"agree", "skip"}
 
 
 # ---------------------------------------------------------------------------
@@ -401,26 +459,31 @@ def _as_tuple(v):
 def _scan_draws() -> list[HParams]:
     draws = random_hparams(np.random.default_rng(11), 50)
     for family in ("A0", "C0", "E0", "ratio1"):
-        draws += _family_draws(family, 3, seed=6)
+        draws += family_draws(family, 3, seed=6)
     return draws
 
 
 def test_fused_scans_match_single_interval_scans():
-    everything = {k: tuple(Interval) for k in (1, 2, 3)}
     draws = _scan_draws()
-    # one pass over all 62 draws, every order and interval
-    for p, fused in zip(draws, _scan(draws, everything), strict=True):
+    ts, parts = GridSpec._ts, GridSpec._parts
+    # one pass over all 62 draws and every order
+    fused = _probes(draws, (1, 2, 3))
+    for i, p in enumerate(draws):
         for k in (1, 2, 3):
+            probes, cuts = fused[k]
             for interval in Interval:
+                s = parts[interval]
                 want = _reference_scan(p, interval, k)
-                assert _as_tuple(fused[k][interval]) == want, (p, interval, k)
-                # a pass for one draw, order and interval reads the same values
-                assert _scan([p], {k: (interval,)})[0][k][interval] == fused[k][interval]
+                fused_row = _verdict(ts[s], probes[i, s], cuts[i, s])
+                assert _as_tuple(fused_row) == want, (p, interval, k)
+                # a pass for one draw and order reads the same values
+                one = _scan(p, k, interval)
+                assert _as_tuple(one) == want, (p, interval, k)
                 if k == 1:
                     public = grid_monotonicity_check(p, interval)
                 else:
                     public = grid_klog_sign_check(p, interval, k)
-                assert public == fused[k][interval], (p, interval, k)
+                assert public == one, (p, interval, k)
 
 
 def test_verdicts_match_reference(rng):
@@ -428,19 +491,18 @@ def test_verdicts_match_reference(rng):
     # are whole multiples of 1e-8, so the strongest rise or fall is often
     # tied and the first of the tied probes must be the witness
     ts = np.linspace(-1.0, 1.0, 41)
-    parts = {"all": slice(None), "left": slice(0, 20), "picked": np.r_[3:9, 30:41]}
+    parts = (slice(None), slice(0, 20), np.r_[3:9, 30:41])
     shape = (5, ts.size)
     for i in range(200):
         probes = rng.normal(scale=1e-8, size=shape) + rng.choice([-3e-8, 0.0, 3e-8], size=(5, 1))
         if i % 2:
             probes = np.round(probes / 1e-8) * 1e-8
         cuts = SIGN_MARGIN * rng.uniform(0.5, 1.5, size=shape)
-        got = _verdicts(ts, probes, cuts, parts)
-        for key, s in parts.items():
-            assert len(got[key]) == 5
-            for row, verdict in enumerate(got[key]):
+        for s in parts:
+            for row in range(5):
+                verdict = _verdict(ts[s], probes[row, s], cuts[row, s])
                 want = _reference_aggregate(ts[s], probes[row, s], cuts[row, s])
-                assert _as_tuple(verdict) == want, (key, row)
+                assert _as_tuple(verdict) == want, (s, row)
 
 
 # ---------------------------------------------------------------------------
@@ -535,13 +597,15 @@ def test_chunk_rows_match_draws_alone():
     # 20 generic draws and 12 on the A0, C0, E0 and ratio1 boundaries
     draws = _scan_draws()[-_CHUNK:]
     ts, orders = GridSpec._ts, (1, 2, 3)
-    everything = {k: tuple(Interval) for k in orders}
     chunk = _kernels_py.log_derivs_h(*np.array([p.as_tuple() for p in draws]).T, ts, orders)
-    scans = _scan(draws, everything)
-    assert len(scans) == _CHUNK
+    probes = _probes(draws, orders)
+    assert probes[1][0].shape == (_CHUNK, ts.size)
     for i, p in enumerate(draws):
         alone = _kernels_py.log_derivs_h(*p.as_tuple(), ts, orders)
+        one = _probes([p], orders)
         for k in orders:
             assert same_bits(chunk[k][0][i], alone[k][0]), (p, k)
             assert same_bits(chunk[k][1][i], alone[k][1]), (p, k)
-        assert _scan([p], everything)[0] == scans[i], p
+            assert same_bits(probes[k][0][i], one[k][0][0]), (p, k)
+            assert same_bits(probes[k][1][i], one[k][1][0]), (p, k)
+    assert _check_chunk(draws) == [_check_one(p) for p in draws]
