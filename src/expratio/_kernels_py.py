@@ -94,10 +94,20 @@ def log_abs_quot(alpha, beta, t):
     d = alpha - beta
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u = np.abs(d * t)
-        near = math.log(abs(d)) + 0.5 * (alpha + beta) * t + _log_sinhc(0.5 * u)
-        # ln|d| + (alpha + beta) t / 2 + u/2 - ln u, written exactly
-        far = np.maximum(alpha * t, beta * t) - np.log(np.abs(t)) + np.log1p(-np.exp(-u))
-    return np.where(u < 1.0, near, far)
+        small = u < 1.0
+        if t.size == 1:
+            # one point: evaluate only the branch it takes
+            return _quot_near(alpha, beta, t, u) if small else _quot_far(alpha, beta, t, u)
+        return np.where(small, _quot_near(alpha, beta, t, u), _quot_far(alpha, beta, t, u))
+
+
+def _quot_near(alpha, beta, t, u):
+    return math.log(abs(alpha - beta)) + 0.5 * (alpha + beta) * t + _log_sinhc(0.5 * u)
+
+
+def _quot_far(alpha, beta, t, u):
+    # ln|d| + (alpha + beta) t / 2 + u/2 - ln u, written exactly
+    return np.maximum(alpha * t, beta * t) - np.log(np.abs(t)) + np.log1p(-np.exp(-u))
 
 
 def h_sign(alpha, beta, lam, mu):
@@ -115,7 +125,9 @@ def log_abs_h(alpha, beta, lam, mu, t):
         out = ((beta - mu) * t + log_abs_quot(alpha - beta, 0.0, t)
                - log_abs_quot(lam - mu, 0.0, t))
         scale = max(abs(alpha - beta), abs(lam - mu), abs(beta - mu))
-        if t.size and math.isinf(float(np.abs(t).max()) * scale):
+        # the largest |t|; one point needs no array reduction
+        top = abs(t.item()) if t.size == 1 else float(np.abs(t).max(initial=0.0))
+        if math.isinf(top * scale):
             # some product above overflowed, and inf - inf is NaN; there
             # ln|H| = max(alpha t, beta t) - max(lam t, mu t), taken as t
             # times a difference of exponents so that it cannot overflow
@@ -228,8 +240,12 @@ def log_derivs_h(alpha, beta, lam, mu, t, orders):
     rows = params.reshape(4, -1, 1)
     a, b, l, m = rows
     n = a.shape[0]
-    # e^(k) has the parity of k: evaluate once per distinct |t|, then gather
-    mags_t, at = np.unique(np.abs(ts), return_inverse=True)
+    # e^(k) has the parity of k: evaluate once per distinct |t|, then
+    # gather; one point is its own distinct |t|
+    if ts.size == 1:
+        mags_t, at = np.abs(ts), slice(None)
+    else:
+        mags_t, at = np.unique(np.abs(ts), return_inverse=True)
     d = np.abs(rows[0::2] - rows[1::2]).ravel()  # |alpha - beta| rows, then |lam - mu|
     # the branch not taken may overflow, or divide by t = 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -1,16 +1,25 @@
 """Command-line front end: evaluate, classify, verify, table.
 
 Exit codes: 0 success, 1 verification found a contradiction, 2 usage or
-parameter error.  Machine formats (csv/json) print 17 significant digits so
-values round-trip through float parsing; text uses 6.  Output is UTF-8 with
-"\\n" newlines and a locale-independent decimal point.
+parameter error, 141 (the shell's code for SIGPIPE) when the reader of
+stdout closed it early, as ``expratio eval ... | head`` does; then the rest
+of the output is dropped without a traceback.  Machine formats (csv/json)
+print 17 significant digits so values round-trip through float parsing;
+text uses 6.  Output is UTF-8 with "\\n" newlines and a locale-independent
+decimal point.
+
+The argument parser is built on the first ``main`` call and reused by every
+later call in the process.  An ``eval`` table is formatted in one pass
+through one format string and written with one ``print``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import re
 import sys
 
@@ -25,6 +34,11 @@ _ARITY = {"G": 2, "F": 2, "Q": 2, "H": 4, "P": 4}
 
 _FMT_MACHINE = "%.17g"
 _FMT_TEXT = "%.6g"
+# one eval table row, t and its value
+_ROW = {"csv": f"{_FMT_MACHINE},{_FMT_MACHINE}\n", "text": f"{_FMT_TEXT} {_FMT_TEXT}\n"}
+
+# the code a shell reports for a process ended by SIGPIPE
+_EXIT_CLOSED_PIPE = 141
 
 
 def _num(x: float, machine: bool) -> str:
@@ -57,7 +71,7 @@ def _t_values(args) -> np.ndarray:
     if args.t is not None:
         return np.asarray([args.t], dtype=np.float64)
     start, stop, count = args.range
-    n = int(count)
+    n = int(count) if math.isfinite(count) else 0
     if n != count or n < 1:
         raise ParameterError("range COUNT must be a positive integer")
     if args.log:
@@ -73,22 +87,20 @@ def cmd_eval(args) -> int:
     params = _make_params(args.function, args.params)
     fn = _EVALUATORS[args.function]
     ts = _t_values(args)
-    rows = list(zip(ts.tolist(), fn(params, ts).tolist()))
-    machine = args.format in ("csv", "json")
+    values = fn(params, ts)
     if args.format == "json":
         doc = {
             "function": args.function,
             "params": list(args.params),
-            "rows": [{"t": t, "value": v} for t, v in rows],
+            "rows": [{"t": t, "value": v} for t, v in zip(ts.tolist(), values.tolist())],
         }
         print(json.dumps(doc))
-    elif args.format == "csv":
+        return 0
+    if args.format == "csv":
         print("t,value")
-        for t, v in rows:
-            print(f"{_num(t, True)},{_num(v, True)}")
-    else:
-        for t, v in rows:
-            print(f"{_num(t, machine)} {_num(v, machine)}")
+    # every row through one format string, and the table in one write
+    cells = np.column_stack([ts, values]).ravel().tolist()
+    print(_ROW[args.format] * ts.size % tuple(cells), end="")
     return 0
 
 
@@ -307,8 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser of every main call in the process, built on the first
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if hasattr(args, "function") and hasattr(args, "params"):
         want = _ARITY[args.function]
@@ -316,10 +332,19 @@ def main(argv: list[str] | None = None) -> int:
             parser.exit(2, f"error: {args.function} takes {want} parameters, "
                            f"got {len(args.params)}\n")
     try:
-        return args.run(args)
+        code = args.run(args)
+        # a closed pipe fails here even when the output fits its buffer
+        sys.stdout.flush()
+        return code
     except (ParameterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; send what is left to devnull
+        # so that this flush cannot fail and print an error too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return _EXIT_CLOSED_PIPE
 
 
 if __name__ == "__main__":

@@ -23,13 +23,15 @@ no second, wider grid to retry on.  Each classifier verdict is a claimed
 sign of one log-derivative on one interval, and one rule checks every
 claim (``_check_chunk``; ``_check_one`` is its one-draw case).
 
-``cross_validate`` checks its draws 32 at a time, and ``_check_chunk`` is
-the only place that handles many draws: one ``log_derivs_h`` call
-(``_probes``) takes the chunk's parameters as arrays, one row per draw,
-and every claim of every draw is judged from (draws x claims) masks of
-where a confident rise or fall was seen.  The kernel evaluates each
-distinct |t| once (206 of the 411 probes) and reads t < 0 by parity.  Its
-cost is mostly fixed per call, so a chunk pays it once for 32 draws.
+``cross_validate`` draws and checks 32 draws at a time.  ``_draw_params``
+takes a chunk's rows from the generator in blocks, the same bits as one
+row at a time, and ``_check_chunk`` is the only place that checks many
+draws: one ``log_derivs_h`` call (``_probes``) takes the chunk's
+parameters as arrays, one row per draw, and every claim of every draw is
+judged from (draws x claims) masks of where a confident rise or fall was
+seen.  The kernel evaluates each distinct |t| once (206 of the 411
+probes) and reads t < 0 by parity.  Its cost is mostly fixed per call, so
+a chunk pays it once for 32 draws.
 Every value is elementwise in its row, so a draw's values and outcome are
 the same bits alone and in any chunk.  An ``OracleVerdict`` is built only
 for a contradiction's detail and for the public one-draw scans
@@ -222,12 +224,13 @@ def _probes(
     sign(H) = sign((alpha-beta)(lam-mu)) is constant in t.  A probe is a
     witness beyond its cut, SIGN_MARGIN plus the kernel's roundoff floor.
     """
-    rows = [p.as_tuple() for p in draws]
-    derivs = _kernels_py.log_derivs_h(*np.array(rows).T, GridSpec._ts, orders)
+    a, b, l, m = np.array([p.as_tuple() for p in draws]).T
+    derivs = _kernels_py.log_derivs_h(a, b, l, m, GridSpec._ts, orders)
     out = {}
     for k, (value, bound) in derivs.items():
         if k == 1:
-            value = value * np.array([_kernels_py.h_sign(*row) for row in rows])[:, None]
+            # h_sign of every row at once
+            value = value * np.where((a > b) == (l > m), 1.0, -1.0)[:, None]
         out[k] = (value, SIGN_MARGIN + bound)
     return out
 
@@ -325,13 +328,24 @@ class CrossValidationReport:
         )
 
 
-def _draw_params(rng: np.random.Generator) -> HParams:
-    while True:
-        a, b, l, m = rng.uniform(-5.0, 5.0, size=4)
-        vals = (a, b, l, m)
-        gaps = [abs(vals[i] - vals[j]) for i in range(4) for j in range(i + 1, 4)]
-        if min(gaps) >= 0.05:
-            return HParams(a, b, l, m)
+# the six pairs of the four parameters, as column indices
+_PAIRS = np.triu_indices(4, 1)
+
+
+def _draw_params(rng: np.random.Generator, k: int) -> list[HParams]:
+    """k draws uniform on [-5,5]^4, each with every pairwise gap >= 0.05.
+
+    Rows are taken in blocks of as many as are still missing, and the
+    passing rows kept in order.  A block of n rows is the same bits as n
+    draws of one row, and no row past the k-th passing one is drawn, so
+    the draws and the generator's state after them do not depend on k.
+    """
+    rows = []
+    while len(rows) < k:
+        block = rng.uniform(-5.0, 5.0, size=(k - len(rows), 4))
+        gaps = np.abs(block[:, _PAIRS[0]] - block[:, _PAIRS[1]]).min(axis=1)
+        rows += block[gaps >= 0.05].tolist()
+    return [HParams(*row) for row in rows]
 
 
 def _contradiction(params, check, claimed, oracle: OracleVerdict) -> dict:
@@ -429,17 +443,18 @@ def cross_validate(draws: int, seed: int = 0) -> CrossValidationReport:
     Each draw (uniform on [-5,5]^4, rejecting tuples with any pairwise gap
     below 0.05) is classified and then checked: monotonicity on all three
     intervals by order-1 scan, log-convexity by order-2 sign scan, third-order
-    verdicts by order-3 sign scans on each half line.  Draws are checked in
-    chunks of _CHUNK, one scan pass per chunk; each draw's verdicts are the
-    same as checked alone.  Deterministic for a given (draws, seed); the
-    report satisfies draws == agreements + boundary_skips + len(contradictions).
+    verdicts by order-3 sign scans on each half line.  Draws are drawn and
+    checked in chunks of _CHUNK, one scan pass per chunk; each draw, and
+    its verdicts, are the same as drawn and checked alone.  Deterministic
+    for a given (draws, seed); the report satisfies
+    draws == agreements + boundary_skips + len(contradictions).
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
     rng = np.random.default_rng(seed)
     report = CrossValidationReport()
     while report.draws < draws:
-        chunk = [_draw_params(rng) for _ in range(min(_CHUNK, draws - report.draws))]
+        chunk = _draw_params(rng, min(_CHUNK, draws - report.draws))
         report.draws += len(chunk)
         for kind, detail in _check_chunk(chunk):
             if kind == "agree":

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import expratio
+from expratio import cli
 from expratio import (
     GFParams,
     HParams,
@@ -110,6 +111,15 @@ class TestEval:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("count", ["inf", "nan", "1e400", "2.5", "0"])
+    def test_bad_range_count(self, capsys, count):
+        # exit 1 means a contradiction in verify, so int(inf)'s OverflowError
+        # must not escape as a traceback
+        argv = ("eval", "H", "1", "0", "2", "0", "--range", "0", "1", count)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: range COUNT must be a positive integer\n"
+
     def test_arity_check(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "H", "1", "0", "2", "--t", "1"])
@@ -133,6 +143,103 @@ class TestEval:
         assert code == 0
         assert "NaN" not in out
         assert json.loads(out)["rows"] == [{"t": 1e308, "value": 0.0}]
+
+
+# (function, params, --range); the H grid saturates to inf near t = 400
+_BYTES_CASES = [
+    ("H", [1.5, -0.5, 2.5, 0.25], [-3.0, 3.0, 25]),
+    ("H", [2.5, 0.0, 0.5, 0.0], [-400.0, 400.0, 81]),
+    ("P", [2.0, 3.0, 5.0, 7.0], [-50.0, 50.0, 41]),
+    ("Q", [0.0, 0.5], [-40.0, 40.0, 41]),
+    ("G", [0.5, 2.5], [-700.0, 700.0, 57]),
+    ("F", [-1.5, 0.75], [-300.0, 300.0, 57]),
+]
+
+_GRID_EVALUATORS = {
+    "H": (HParams, expratio.eval_H_grid),
+    "P": (PParams, expratio.eval_P_grid),
+    "Q": (QParams, expratio.eval_Q_grid),
+    "G": (GFParams, expratio.eval_G_grid),
+    "F": (GFParams, expratio.eval_F_grid),
+}
+
+
+class TestEvalBytes:
+    """An eval table is written at once; its bytes are one line per row of
+    the grid evaluator's values, in the format's number spelling."""
+
+    @pytest.mark.parametrize("func, params, grid", _BYTES_CASES,
+                             ids=["H", "H-saturating", "P", "Q", "G", "F"])
+    def test_table_bytes(self, capsys, func, params, grid):
+        make, evaluate = _GRID_EVALUATORS[func]
+        ts = np.linspace(grid[0], grid[1], grid[2])
+        values = evaluate(make(*params), ts)
+        if grid[1] == 400.0:
+            assert np.isinf(values[-1])
+        argv = ["eval", func, *map(repr, params), "--range", *map(repr, grid)]
+        rows = list(zip(ts.tolist(), values.tolist()))
+        want = {
+            "csv": "t,value\n" + "".join("%.17g,%.17g\n" % r for r in rows),
+            "text": "".join("%.6g %.6g\n" % r for r in rows),
+            "json": json.dumps({"function": func, "params": params,
+                                "rows": [{"t": t, "value": v} for t, v in rows]}) + "\n",
+        }
+        for fmt, text in want.items():
+            assert run_cli(capsys, *argv, "--format", fmt) == (0, text, ""), fmt
+
+
+# one call of each kind main handles, usage and parameter errors included
+_REUSE_ARGV = [
+    ["eval", "H", "1.5", "-0.5", "2.5", "0.25", "--t", "0.75", "--format", "json"],
+    ["eval", "G", "0.5", "2.5", "--range", "1e-3", "10", "7", "--log", "--format", "csv"],
+    ["classify", "P", "2", "3", "5", "7"],
+    ["eval", "H", "1", "0", "2", "--t", "1"],
+    ["eval", "Q", "0", "0.5", "--t", "1", "--range", "0", "1", "2"],
+    ["verify", "--draws", "40", "--format", "json"],
+    ["table", "--format", "csv"],
+    ["eval", "H", "1", "0", "1", "0", "--t", "1"],
+]
+
+
+def test_parser_reused_across_calls(capsys):
+    # main builds its parser once per process; every call must read as if
+    # the parser were new, whatever ran before it
+    def call(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse usage errors and the arity check
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    cli._parser.cache_clear()
+    forward = [call(argv) for argv in _REUSE_ARGV]
+    backward = [call(argv) for argv in reversed(_REUSE_ARGV)][::-1]
+    assert forward == backward
+    assert [r[0] for r in forward] == [0, 0, 0, 2, 2, 0, 0, 2]
+    assert cli._parser() is cli._parser() and cli._parser.cache_info().misses == 1
+    assert cli.build_parser() is not cli._parser()
+
+
+def test_closed_pipe_exits_quietly():
+    # the reader takes one line and closes the pipe; 1.7 MB of csv cannot
+    # fit in a pipe's buffer, so the write fails every time.  Unbuffered
+    # stdout is left out: there the table is one raw write, and CPython's
+    # text layer drops the short count it returns when the reader leaves,
+    # so the exit code would depend on when the reader read
+    src = str(Path(expratio.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = ["eval", "F", "0.5", "1.5", "--range", "-20", "20", "40000", "--format", "csv"]
+    proc = subprocess.Popen([sys.executable, "-m", "expratio", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert first == b"t,value\n"
+    assert err == ""  # no traceback
 
 
 class TestClassify:

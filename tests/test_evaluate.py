@@ -22,9 +22,12 @@ from expratio import (
     log_deriv_H,
     reduce_H_to_Q,
 )
+from expratio import _kernels_py as K
 from expratio._kernels_py import h_sign
 
-from conftest import mp_F, mp_G, mp_H, mp_log_abs_H, mp_log_deriv_H, random_hparams, rel_err
+from conftest import (
+    mp_F, mp_G, mp_H, mp_log_abs_H, mp_log_deriv_H, random_hparams, rel_err, same_bits,
+)
 
 E = math.e
 
@@ -376,3 +379,30 @@ class TestReduction:
             red = reduce_H_to_Q(p)
             assert not red.degenerate
             QParams(red.A, red.B)
+
+
+def test_one_point_calls_match_grid_bits(rng):
+    # a one-point call picks its branch in Python and skips the grid's
+    # reductions; each value must still be the bits of the same point in a
+    # many-point call: t = 0, subnormal t, both sides of the near/far
+    # switch at u = |d t| = 1, and H(2, 0, 3, 0) where 3t overflows
+    ts = np.concatenate([[0.0, -0.0, 5e-324, -1e-310, 2.2e-308, 1e308, -1e308],
+                         rng.uniform(-1, 1, 40) * 10.0 ** rng.uniform(-12, 3, 40)])
+    rows = [p.as_tuple() for p in random_hparams(rng, 6)] + [(2.0, 0.0, 3.0, 0.0),
+                                                             (1.0, 0.0, 2.0, 0.0)]
+    for a, b, l, m in rows:
+        d = a - b
+        edge = np.array([1.0 / abs(d), np.nextafter(1.0 / abs(d), 0.0)])
+        grid = np.concatenate([ts, edge, -edge])
+        quot = K.log_abs_quot(a, b, grid)
+        log_h = K.log_abs_h(a, b, l, m, grid)
+        h = K.eval_h(a, b, l, m, grid)
+        derivs = K.log_derivs_h(a, b, l, m, grid, (1, 2, 3, 4))
+        for i, t in enumerate(grid.tolist()):
+            for one in ([t], np.float64(t)):
+                assert same_bits(K.log_abs_quot(a, b, one), np.reshape(quot[i], np.shape(one)))
+                assert same_bits(K.log_abs_h(a, b, l, m, one), np.reshape(log_h[i], np.shape(one)))
+                assert same_bits(K.eval_h(a, b, l, m, one), np.reshape(h[i], np.shape(one)))
+            for k, (value, bound) in K.log_derivs_h(a, b, l, m, [t], (1, 2, 3, 4)).items():
+                assert same_bits(value, derivs[k][0][i:i + 1]), (a, b, l, m, t, k)
+                assert same_bits(bound, derivs[k][1][i:i + 1]), (a, b, l, m, t, k)

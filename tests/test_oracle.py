@@ -569,7 +569,7 @@ def _one_draw_loop(n: int, seed: int) -> oracle.CrossValidationReport:
     rng = np.random.default_rng(seed)
     report = oracle.CrossValidationReport()
     for _ in range(n):
-        kind, detail = _check_one(_draw_params(rng))
+        kind, detail = _check_one(*_draw_params(rng, 1))
         report.draws += 1
         if kind == "agree":
             report.agreements += 1
