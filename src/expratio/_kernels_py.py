@@ -38,6 +38,17 @@ alpha, beta, lam and mu may also be 1-D arrays of one length, one row per
 parameter set: the oracle scans many draws in one call, and each row is
 the same bits as that set's scalar call.
 
+Each (|d|, |t|) element is evaluated on its own branch only: the series
+elements and the closed-form elements are compressed to 1-D arrays,
+evaluated, and scattered into one output array.  Past u = U_FAR the closed
+forms take e^{-u} as exactly 0, which changes no value and keeps exp from
+making subnormals.  The cost of a 32-draw pass is memory as much as
+arithmetic: if its temporaries outgrow what glibc's malloc keeps between
+passes (twice the largest block it has unmapped, so twice the output
+array), every pass gives its pages back and faults them in again.  So the
+output array is allocated first, temporaries are freed once read, and
+``log_derivs_h`` combines and gathers after the output is freed.
+
 The finite-difference estimator, the independent check of those derivatives,
 keeps a split of its own (ln|d t| + d t / 2 + sinh form, or
 max(d t, 0) + ln(1 - e^{-|d t|})).  It applies central stencils with one
@@ -167,55 +178,90 @@ _SERIES = np.array([
     (0.0, 0.0, 0.0, 4.972258956505136e-20),
 ])
 _HORNER = _SERIES[::-1]
+# the first row of _HORNER that is nonzero, per order; rows above it add
+# 0 * y + c = c exactly (y <= 1), so Horner starts there
+_HORNER_TOP = np.argmax(_HORNER != 0.0, axis=0)
 
 # roundoff floor of log_derivs_h: this many ulps of the magnitudes summed
 _BOUND_ULPS = 16.0 * np.finfo(np.float64).eps
+
+# past u = U_FAR the closed forms take q = e^{-u} as exactly 0.  Each e^{-u}
+# term there is below 2^-54 of the power term it is added to (the ratio is
+# at most u^4 e^{-u} / 6, for every d), so no value changes a bit, and exp
+# makes no subnormals for u in (708, 1490)
+U_FAR = 80.0
 
 
 def _e_derivs(d, s, orders):
     """d^k e^(k)(d s) for each d > 0 in d (rows) and s >= 0 in s (columns),
     one block per order, with the magnitude sum of the parts each value is
-    formed from (the scale its rounding error has)."""
-    rows = [k - 1 for k in orders]
-    dc = d[:, None]
-    u = dc * s
-    us = np.minimum(u, 1.0)
+    formed from (the scale its rounding error has), as one array
+    (vals, mags), allocated before any temporary.
+
+    Each element is computed on its own branch only, the series where
+    u = d s <= 1 and the closed forms beyond: each branch runs on its
+    elements compressed to 1-D and is scattered into the output."""
+    u = d[:, None] * s
+    near = u <= 1.0
+    far = ~near
+    us, uf = u[near], u[far]
+    out = np.empty((2, len(orders), u.size))
+    shape = out.shape[:2] + u.shape
+    del u
+    # a row's elements are consecutive once compressed, so a value per row
+    # is gathered by repeating it as often as the row takes the branch
+    counts = near.sum(axis=1)
+    # 1-D boolean scatters: NumPy's fast indexing path
+    near = near.ravel()
+    vals, mags = out
+    # u <= 1: Horner from the first row that is nonzero for an order asked
     y = us * us
-    coef = _HORNER[:, rows, None, None]
-    ser = coef[0] * y + coef[1]
+    top = min(_HORNER_TOP[k - 1] for k in orders)
+    coef = _HORNER[top:, [k - 1 for k in orders], None]
+    ser = coef[0] * y
+    ser += coef[1]
     for c in coef[2:]:
         ser *= y
         ser += c
-    odd = [i for i, k in enumerate(orders) if k % 2]
-    if odd:
-        ser[odd] *= us
-    # one power per order: np.power over a stacked (orders, d) block rounds
-    # some elements differently with the block's length, and a value must
-    # not depend on which other orders were asked for
-    ser *= np.stack([dc ** k for k in orders])
+    del y
+    for i, k in enumerate(orders):
+        if k % 2:
+            ser[i] *= us
+        # d^k on d, then gathered: np.power over a stacked or gathered
+        # block rounds some elements differently with the block's layout,
+        # and a value must not depend on which other orders were asked for
+        ser[i] *= np.repeat(d ** k, counts)
+        vals[i][near] = ser[i]
+        mags[i][near] = np.abs(ser[i])
+    del us, ser
     # u > 1: with q = e^{-u}, r = 1/(1 - q), coth(u/2) = (1 + q) r and
     # 1/(4 sinh^2(u/2)) = q r^2, each d^k e^(k) is a difference P - N of
     # nonnegative parts.  d^k enters them as d^k / u^k = 1/|t|^k and
     # through w = d^2 q r^2 = (d e^{-u/2} r)^2, so no part overflows unless
-    # the value does.
-    h = np.exp(-0.5 * u)
+    # the value does.  Past U_FAR, q is exactly 0.
+    h = np.zeros_like(uf)
+    np.exp(-0.5 * uf, out=h, where=uf <= U_FAR)
+    del uf
     q = h * h
     r = 1.0 / (1.0 - q)
-    it = 1.0 / s
-    it2 = it * it
+    dc = np.repeat(d, s.size - counts)
+    it = np.broadcast_to(1.0 / s, shape[2:])[far]
+    far = far.ravel()
     w = dc * h * r
     w *= w
+    del h
+    it2 = it * it
     parts = {
         1: lambda: (dc * r, 0.5 * dc + it),
         2: lambda: (it2, w),
         3: lambda: ((1.0 + q) * r * w * dc, 2.0 * it2 * it),
         4: lambda: (6.0 * it2 * it2, w * dc * dc * r * r * (1.0 + q * (4.0 + q))),
     }
-    pos, neg = np.empty(ser.shape), np.empty(ser.shape)
     for i, k in enumerate(orders):
-        pos[i], neg[i] = parts[k]()
-    small = u <= 1.0
-    return np.where(small, ser, pos - neg), np.where(small, np.abs(ser), pos + neg)
+        pos, neg = parts[k]()
+        vals[i][far] = pos - neg
+        mags[i][far] = pos + neg
+    return out.reshape(shape)
 
 
 def log_derivs_h(alpha, beta, lam, mu, t, orders):
@@ -229,7 +275,8 @@ def log_derivs_h(alpha, beta, lam, mu, t, orders):
     error estimate of any discretization: the value has none.  Values are
     finite at any |d| where |d t| > 1; below, the series is scaled by
     |d|^k and overflows with it, as the value does, except that odd orders
-    read exactly 0 (value and bound) at t = 0.
+    read exactly 0 (value and bound) at t = 0.  The returned arrays are the
+    caller's to change in place.
     """
     if not orders or any(k not in (1, 2, 3, 4) for k in orders):
         raise ValueError(f"orders must be in 1..4, got {orders}")
@@ -247,24 +294,30 @@ def log_derivs_h(alpha, beta, lam, mu, t, orders):
     else:
         mags_t, at = np.unique(np.abs(ts), return_inverse=True)
     d = np.abs(rows[0::2] - rows[1::2]).ravel()  # |alpha - beta| rows, then |lam - mu|
-    # the branch not taken may overflow, or divide by t = 0
+    # |d|^k and 1/|t|^k overflow where the value does, and 1/|t| is taken
+    # at t = 0 before the closed forms' elements are picked
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         vals, mags = _e_derivs(d, mags_t, orders)
-    diffs = (vals[:, :n] - vals[:, n:])[..., at]
-    sizes = (mags[:, :n] + mags[:, n:])[..., at]
+    # combine the two halves, free the pass's outputs, then gather to t
+    diffs = vals[:, :n] - vals[:, n:]
+    sizes = mags[:, :n] + mags[:, n:]
+    del vals, mags
+    diffs = diffs[..., at]
+    sizes = sizes[..., at]
     sgn = np.sign(ts)
     zero = ts == 0.0
     out = {}
     for row, k in enumerate(orders):
         value, size = diffs[row], sizes[row]
         if k % 2:
-            value = sgn * value
+            value *= sgn
             # u = 0 there, and 0 * |d|^k is NaN once |d|^k overflows
             value[:, zero] = size[:, zero] = 0.0
         if k == 1:
-            value = value + 0.5 * ((a + b) - (l + m))
-            size = size + 0.5 * (np.abs(a) + np.abs(b) + np.abs(l) + np.abs(m))
-        out[k] = (value.reshape(shape), (_BOUND_ULPS * size).reshape(shape))
+            value += 0.5 * ((a + b) - (l + m))
+            size += 0.5 * (np.abs(a) + np.abs(b) + np.abs(l) + np.abs(m))
+        size *= _BOUND_ULPS
+        out[k] = (value.reshape(shape), size.reshape(shape))
     return out
 
 

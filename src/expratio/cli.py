@@ -6,17 +6,20 @@ stdout closed it early, as ``expratio eval ... | head`` does; then the rest
 of the output is dropped without a traceback.  Machine formats (csv/json)
 print 17 significant digits so values round-trip through float parsing;
 text uses 6.  Output is UTF-8 with "\\n" newlines and a locale-independent
-decimal point.
+decimal point.  ``expratio --version`` prints the package and NumPy
+versions.
 
 The argument parser is built on the first ``main`` call and reused by every
 later call in the process.  An ``eval`` table is formatted in one pass
-through one format string and written with one ``print``.
+through one format string and written whole (``_write``), also to
+unbuffered stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import os
@@ -25,6 +28,7 @@ import sys
 
 import numpy as np
 
+from . import __version__
 from . import evaluate as ev
 from . import classify as cl
 from . import oracle as orc
@@ -43,6 +47,23 @@ _EXIT_CLOSED_PIPE = 141
 
 def _num(x: float, machine: bool) -> str:
     return (_FMT_MACHINE if machine else _FMT_TEXT) % x
+
+
+def _write(text: str) -> None:
+    """Write text to stdout whole.  Unbuffered stdout (PYTHONUNBUFFERED=1,
+    ``python -u``) sits on a raw stream, which may take part of a large
+    write and return the count; the text layer drops that count and the
+    rest is lost.  Here the rest is written until none is left, so a
+    reader that closed the pipe makes the next write raise
+    BrokenPipeError."""
+    raw = getattr(sys.stdout, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding))
+    while data:
+        data = data[raw.write(data):]
 
 
 def _make_params(func: str, values: list[float]):
@@ -94,13 +115,14 @@ def cmd_eval(args) -> int:
             "params": list(args.params),
             "rows": [{"t": t, "value": v} for t, v in zip(ts.tolist(), values.tolist())],
         }
-        print(json.dumps(doc))
+        _write(json.dumps(doc))
+        _write("\n")
         return 0
     if args.format == "csv":
-        print("t,value")
+        _write("t,value\n")
     # every row through one format string, and the table in one write
     cells = np.column_stack([ts, values]).ravel().tolist()
-    print(_ROW[args.format] * ts.size % tuple(cells), end="")
+    _write(_ROW[args.format] * ts.size % tuple(cells))
     return 0
 
 
@@ -275,6 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="expratio",
         description="Evaluate and classify ratios of exponential differences.",
     )
+    parser.add_argument("--version", action="version",
+                        version=f"expratio {__version__} (NumPy {np.__version__})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_format(p):

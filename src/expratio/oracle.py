@@ -30,8 +30,13 @@ draws: one ``log_derivs_h`` call (``_probes``) takes the chunk's
 parameters as arrays, one row per draw, and every claim of every draw is
 judged from (draws x claims) masks of where a confident rise or fall was
 seen.  The kernel evaluates each distinct |t| once (206 of the 411
-probes) and reads t < 0 by parity.  Its cost is mostly fixed per call, so
-a chunk pays it once for 32 draws.
+probes) and reads t < 0 by parity, each (|d|, |t|) element on its own
+branch only (series or closed forms), and ``_probes`` signs and cuts the
+kernel's arrays in place.  Its cost is mostly fixed per call, so a chunk
+pays it once for 32 draws.  A chunk's pass peaks near 1.2 MB, under what
+glibc's malloc keeps between passes (twice the kernel's 0.6 MB output
+array); a pass that outgrew it would give its pages back and fault them
+in again on every chunk.
 Every value is elementwise in its row, so a draw's values and outcome are
 the same bits alone and in any chunk.  An ``OracleVerdict`` is built only
 for a contradiction's detail and for the public one-draw scans
@@ -226,13 +231,13 @@ def _probes(
     """
     a, b, l, m = np.array([p.as_tuple() for p in draws]).T
     derivs = _kernels_py.log_derivs_h(a, b, l, m, GridSpec._ts, orders)
-    out = {}
+    # the kernel's arrays are this call's own: sign and cut them in place
     for k, (value, bound) in derivs.items():
         if k == 1:
             # h_sign of every row at once
-            value = value * np.where((a > b) == (l > m), 1.0, -1.0)[:, None]
-        out[k] = (value, SIGN_MARGIN + bound)
-    return out
+            value *= np.where((a > b) == (l > m), 1.0, -1.0)[:, None]
+        bound += SIGN_MARGIN
+    return derivs
 
 
 def _scan(params: HParams, k: int, interval: Interval) -> OracleVerdict:
@@ -433,7 +438,8 @@ def _check_one(params: HParams) -> tuple[str, dict | None]:
 
 
 # draws scanned per kernel pass: the per-call cost is fixed, so a pass over
-# many draws pays it once; 32 keeps the pass's arrays to a few MB
+# many draws pays it once; 32 keeps the pass near 1.2 MB (see the module
+# docstring)
 _CHUNK = 32
 
 

@@ -220,26 +220,37 @@ def test_parser_reused_across_calls(capsys):
     assert cli.build_parser() is not cli._parser()
 
 
-def test_closed_pipe_exits_quietly():
-    # the reader takes one line and closes the pipe; 1.7 MB of csv cannot
-    # fit in a pipe's buffer, so the write fails every time.  Unbuffered
-    # stdout is left out: there the table is one raw write, and CPython's
-    # text layer drops the short count it returns when the reader leaves,
-    # so the exit code would depend on when the reader read
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_closed_pipe_exits_quietly(unbuffered):
+    # the reader takes two lines, as head -n 2 does, and closes the pipe;
+    # 1.7 MB of csv cannot fit in a pipe's buffer, so the write fails
+    # every time.  The second line comes from the table's write, so the
+    # reader leaves while that write is under way: unbuffered stdout writes
+    # to a raw stream, which then returns the part it took, and main writes
+    # the rest, which fails
     src = str(Path(expratio.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
     argv = ["eval", "F", "0.5", "1.5", "--range", "-20", "20", "40000", "--format", "csv"]
     proc = subprocess.Popen([sys.executable, "-m", "expratio", *argv], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    first = proc.stdout.readline()
+    lines = [proc.stdout.readline(), proc.stdout.readline()]
     proc.stdout.close()
     err = proc.stderr.read().decode()
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
-    assert first == b"t,value\n"
+    assert lines == [b"t,value\n", b"-20,440529.31680413242\n"]
     assert err == ""  # no traceback
+
+
+def test_version(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--version"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == f"expratio {expratio.__version__} (NumPy {np.__version__})\n"
 
 
 class TestClassify:

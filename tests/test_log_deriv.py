@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from expratio import HParams, log_deriv_H
-from expratio._kernels_py import _BOUND_ULPS, _e_derivs, log_deriv_h, log_derivs_h
+from expratio._kernels_py import _BOUND_ULPS, U_FAR, _e_derivs, log_deriv_h, log_derivs_h
 from expratio.params import ParameterError
 
 from conftest import mp_log_deriv_H, random_hparams, same_bits
@@ -260,3 +260,50 @@ def test_kernel_orders_2_and_3_match_closed_forms():
             want = float(mp_g(x, k) / mp.mpf(x) ** k)
             assert abs(got - want) <= _BOUND_ULPS * size + 1e-30, (x, k, got, want)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (x, k)
+
+
+# ---------------------------------------------------------------------------
+# past U_FAR: the kernel against its closed forms written out in full, with
+# e^{-u} taken at every u
+
+
+def _full_q_form(d, s, k):
+    """d^k e^(k)(d s) and its magnitude sum from the closed forms in
+    q = e^{-u} (u > 1), q taken at every u."""
+    u = d * s
+    h = np.exp(-0.5 * u)
+    q = h * h
+    r = 1.0 / (1.0 - q)
+    it = 1.0 / s
+    it2 = it * it
+    w = d * h * r
+    w = w * w
+    pos, neg = {
+        1: (d * r, 0.5 * d + it),
+        2: (it2, w),
+        3: ((1.0 + q) * r * w * d, 2.0 * it2 * it),
+        4: (6.0 * it2 * it2, w * d * d * r * r * (1.0 + q * (4.0 + q))),
+    }[k]
+    return pos - neg, pos + neg
+
+
+_SCALES = 2.0 ** np.arange(-40, 41, 5)
+
+
+@pytest.mark.parametrize("orders", [(1,), (2,), (3,), (4,), (1, 2, 3), (4, 2), (1, 2, 3, 4)])
+def test_far_elements_match_full_q_form(orders):
+    # past U_FAR the kernel takes e^{-u} as 0; every term it drops is below
+    # 2^-54 of the one it is added to, so no bit moves, up to where exp
+    # underflows (u ~ 1490) and beyond
+    u = np.concatenate([[np.nextafter(U_FAR, np.inf), 80.5, 100.0, 708.0, 709.0, 745.0,
+                         1416.0, 1450.0, 1490.0, 1e4],
+                        np.geomspace(U_FAR + 1e-9, 1e4, 200)])
+    for d in _SCALES:
+        s = u / d
+        d1 = np.array([d])
+        assert np.all(d * s > U_FAR)
+        vals, mags = _e_derivs(d1, s, orders)
+        for row, k in enumerate(orders):
+            value, size = _full_q_form(d1, s, k)
+            assert same_bits(vals[row, 0], value), (d, k)
+            assert same_bits(mags[row, 0], size), (d, k)
