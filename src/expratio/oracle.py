@@ -45,7 +45,10 @@ for a contradiction's detail and for the public one-draw scans
 ``numeric_log_derivative`` stays as the independent finite-difference check
 of those values: central differences through the kernel's noise-controlled
 scheme (``fd_log_deriv``), which differentiates the affine and ln|t| pieces
-of each log term analytically and stencils only the bounded remainder.
+of each log term analytically and stencils only the bounded remainder,
+each element on the one branch its stencil center picks, over a large t in
+blocks of 16384 points.  Order 3's second Richardson level runs here on
+the whole array.  A non-finite t or step is rejected with ParameterError.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ import numpy as np
 
 from . import _kernels_py
 from ._backend import kernels
-from .params import HParams
+from .params import HParams, ParameterError
 from .classify import (
     ConvexityKind,
     Direction,
@@ -185,20 +188,25 @@ def numeric_log_derivative(
 
     Returns (estimate, error_estimate); the error estimate is the spread of
     the two Richardson stages.  The stencil must not straddle the origin:
-    the decomposition of the log has a kink there.
+    the decomposition of the log has a kink there.  Raises ParameterError
+    for an order outside 1..4, a non-finite t, a step that is not positive
+    and finite, or a stencil that would touch t = 0.
     """
     if order not in (1, 2, 3, 4):
-        raise ValueError("order must be 1..4")
+        raise ParameterError("order must be 1..4")
     t_arr = np.asarray(t, dtype=np.float64)
+    if not np.all(np.isfinite(t_arr)):
+        raise ParameterError("t values must be finite")
     if step is None:
         step_arr = _default_step(t_arr, order)
     else:
         step_arr = np.broadcast_to(np.asarray(step, dtype=np.float64), t_arr.shape)
-        if np.any(step_arr <= 0.0):
-            raise ValueError("step must be positive")
+        # a NaN step fails the comparison and is rejected with the rest
+        if not np.all((step_arr > 0.0) & np.isfinite(step_arr)):
+            raise ParameterError("step must be positive and finite")
     reach = _stencil_reach(order)
     if np.any(np.abs(t_arr) <= reach * step_arr):
-        raise ValueError("stencil would touch t = 0; need |t| > step * stencil reach")
+        raise ParameterError("stencil would touch t = 0; need |t| > step * stencil reach")
     a, b, l, m = params.as_tuple()
     est, err = kernels.fd_log_deriv(a, b, l, m, t_arr, order, step_arr)
     if order == 3 and step is None:
@@ -209,7 +217,9 @@ def numeric_log_derivative(
         # finest inner step, which the stage spread cannot see.
         est_half, _ = kernels.fd_log_deriv(a, b, l, m, t_arr, order, 0.5 * step_arr)
         refined = (16.0 * est_half - est) / 15.0
-        floor = np.finfo(np.float64).eps / (0.5 * step_arr) ** 3
+        # the cube overflows near |t| = 1e308, where the floor reads 0
+        with np.errstate(over="ignore"):
+            floor = np.finfo(np.float64).eps / (0.5 * step_arr) ** 3
         err = np.maximum(np.abs(refined - est_half), floor)
         est = refined
     if np.isscalar(t) or t_arr.ndim == 0:

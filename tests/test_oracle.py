@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from expratio import (
     HParams,
     Interval,
     cross_validate,
+    eval_H_grid,
     four_log_sign_change_search,
     grid_klog_sign_check,
     grid_monotonicity_check,
@@ -20,6 +22,7 @@ from expratio import (
 from expratio import _kernels_py, oracle
 from expratio.classify import ConvexityKind, Direction, ThirdOrderKind, classify_H
 from expratio.cli import main as cli_main
+from expratio.params import ParameterError
 from expratio.oracle import (
     SIGN_MARGIN,
     _CHUNK,
@@ -140,6 +143,30 @@ class TestNumericLogDerivative:
         for i, t in enumerate(ts):
             s_est, s_err = numeric_log_derivative(p, float(t), 2)
             assert est[i] == s_est and err[i] == s_err
+
+    @pytest.mark.parametrize("t, step", [
+        (math.nan, None), (math.inf, None), (-math.inf, None), ([1.0, math.nan], None),
+        (1.0, math.nan), (1.0, math.inf),
+    ])
+    def test_rejects_non_finite(self, t, step):
+        with pytest.raises(ParameterError):
+            numeric_log_derivative(HParams(1, 0, 2, 0), t, 2, step)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_no_overflow_warning_at_top_of_range(self, order):
+        # d t, h^4 and the powers of t overflow near 1e308; the kernel reads
+        # the infs as their limits without warning
+        p = HParams(1.3, -0.4, 2.1, 0.2)
+        ts = np.array([1e308, -1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est, err = numeric_log_derivative(p, ts, order)
+            fd = _kernels_py.fd_log_deriv(*p.as_tuple(), ts, order, 1e300)
+        assert np.all(np.isfinite(est)) and np.all(np.isfinite(err))
+        assert np.all(np.isfinite(fd[0]))
+        if order == 1:
+            # the slope max(alpha, beta) - max(lam, mu) on t > 0
+            assert est[0] == -0.8
 
 
 class TestGridMonotonicity:
@@ -632,6 +659,89 @@ def test_chunk_pass_memory():
         if not tracing:
             tracemalloc.stop()
     assert peak < 1.5 * 2**20, peak
+
+
+_BLOCK = _kernels_py._BLOCK
+# the overflow cases of the kernels: both differences past the double range
+# at large t, a huge difference, a ratio that underflows, a huge common shift
+_BLOCK_PARAMS = [HParams(2, 0, 3, 0), HParams(1e200, 0, 1, 0), HParams(1e-300, 0, 1e300, 0),
+                 HParams(700, -700, 1, 0), HParams(1.3, -0.4, 2.1, 0.2)]
+
+
+def _block_kernels():
+    # (name, function of (params, t), smallest |t| it takes)
+    def fd(k):
+        return lambda p, t: _kernels_py.fd_log_deriv(*p.as_tuple(), t, k, 1e-3)
+
+    def nld(k):
+        return lambda p, t: numeric_log_derivative(p, t, k)
+
+    cases = [
+        ("log_abs_h", lambda p, t: _kernels_py.log_abs_h(*p.as_tuple(), t), 0.0),
+        ("eval_h", lambda p, t: _kernels_py.eval_h(*p.as_tuple(), t), 0.0),
+        *((f"fd_log_deriv-o{k}", fd(k), 0.05) for k in (1, 2, 3, 4)),
+        *((f"numeric_log_derivative-o{k}", nld(k), 0.05) for k in (1, 2, 3, 4)),
+    ]
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("name, fn, t_min", _block_kernels())
+def test_values_independent_of_blocks(name, fn, t_min):
+    # every element has the bits of a call on a shorter piece (pieces of
+    # 5000 points, so one straddles each block edge) and of a one-element
+    # call at each block edge, whatever the array's length or shape
+    rng = np.random.default_rng(20)
+    shapes = [(_BLOCK - 1,), (_BLOCK,), (_BLOCK + 1,), (3 * _BLOCK + 7,), (3, _BLOCK // 2 + 5)]
+    for shape in shapes:
+        n = math.prod(shape)
+        low = -300.0 if t_min == 0.0 else math.log10(t_min)
+        t = np.where(rng.random(n) < 0.5, -1.0, 1.0) * 10.0 ** rng.uniform(low, 308.0, n)
+        t[rng.integers(0, n, 8)] = 1e308
+        t[_BLOCK - 1::_BLOCK] = -1e308
+        if t_min == 0.0:
+            t[::997] = 0.0
+        t = t.reshape(shape)
+        flat = t.ravel()
+        edges = sorted({0, n - 1, *(i + j for i in range(_BLOCK, n, _BLOCK) for j in (-1, 0))})
+        for p in _BLOCK_PARAMS:
+            whole = fn(p, t)
+            whole = [np.ravel(a) for a in (whole if isinstance(whole, tuple) else (whole,))]
+            for start in range(0, n, 5000):
+                piece = fn(p, flat[start:start + 5000])
+                for a, b in zip(whole, piece if isinstance(piece, tuple) else (piece,)):
+                    assert same_bits(a[start:start + 5000], b), (name, shape, p, start)
+            for i in edges:
+                one = fn(p, flat[i:i + 1])
+                for a, b in zip(whole, one if isinstance(one, tuple) else (one,)):
+                    assert same_bits(a[i:i + 1], b), (name, shape, p, i)
+
+
+def _peak(fn):
+    fn()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_block_pass_memory():
+    # blocks of _BLOCK points keep the temporaries of a 2^17-point call
+    # near 128 KiB each: order 4 peaks near 6 MiB (16.4 MiB when the
+    # kernel ran on the whole array), eval_H_grid near 2 MiB (7.1 MiB)
+    rng = np.random.default_rng(3)
+    t = rng.uniform(0.1, 50.0, 1 << 17) * np.where(rng.random(1 << 17) < 0.5, -1.0, 1.0)
+    p = HParams(1.3, -0.4, 2.1, 0.2)
+    peak = _peak(lambda: numeric_log_derivative(p, t, 4))
+    assert peak < 8 * 2**20, peak
+    peak = _peak(lambda: eval_H_grid(p, t))
+    assert peak < 3 * 2**20, peak
 
 
 # sha256 of `expratio verify --draws N --seed S --format json`: a change to
