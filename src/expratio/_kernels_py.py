@@ -52,15 +52,25 @@ output array is allocated first, temporaries are freed once read, and
 The finite-difference estimator, the independent check of those derivatives,
 keeps a split of its own (ln|d t| + d t / 2 + sinh form, or
 max(d t, 0) + ln(1 - e^{-|d t|})).  It applies central stencils with one
-Richardson pass to the non-affine remainder only and differentiates the
+Richardson pass to the non-affine remainder g only and differentiates the
 affine pieces and the ln|t| of the sinh form exactly, which keeps the
 rounding noise proportional to the local derivative scale instead of to
-|ln H|: that is what makes high-order sign checks trustworthy.  Each
-term's form is chosen at the stencil center and held across the stencil,
-so t and the step are compressed once per call to each term's sinh
-elements and its log1mexp elements, and each stencil point evaluates every
-element on its own branch only; ln(1 - e^{-v}) also takes one of its two
-forms per element, switching at v = ln 2.
+|ln H|: that is what makes high-order sign checks trustworthy.  One table,
+``_STENCILS``, holds every order's offsets and weights, divisor and ln|t|
+pole coefficient, and one loop applies it; g is evaluated once per
+distinct offset.  With ``step=None`` the steps are
+``DEFAULT_STEPS[order] * max(1, |t|)``, and order 3 adds a second
+Richardson level (steps h/2 and h/4) in the same pass.  Each term's form
+is chosen at the stencil center and held across the stencil, so t and the
+step are compressed once per block to each term's sinh elements and its
+log1mexp elements, and each stencil point evaluates every element on its
+own branch only; ln(1 - e^{-v}) also takes one of its two forms per
+element, switching at v = ln 2.
+
+Once alpha - beta, lam - mu or beta - mu overflows, ``log_abs_h`` and
+``eval_h`` evaluate H at p/2 and 2t, since H(p)(t) = H(p/2)(2t) and the
+halved differences do not overflow; so t = 0 reads (alpha - beta)/(lam - mu)
+from them.
 
 ``log_abs_h``, ``eval_h`` and ``fd_log_deriv`` are elementwise and run a
 large t in blocks of ``_BLOCK`` points, each block's results written into
@@ -70,14 +80,13 @@ unmaps after it, so each call faults every page of every temporary in
 again (5,000 to 18,000 minor faults per call, more time than the
 arithmetic at order 3); a block's 128 KiB temporaries stay in the heap and
 in cache.  Blocking changes no value, since every element is computed as
-in a call on that element alone.  The one exception is ln|H| at t = 0
-once alpha - beta or lam - mu overflows: it reads NaN in a block of zeros
-and -0.0 in a block that also holds a nonzero t (both wrong).
+in a call on that element alone.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -172,10 +181,20 @@ def _blocked(kernel, nout, t, *steps):
     return tuple(outs) if nout > 1 else outs[0]
 
 
+def _in_range(alpha, beta, lam, mu, t):
+    """(alpha, beta, lam, mu, t) to evaluate H at: p/2 and 2t once alpha -
+    beta, lam - mu or beta - mu overflows, since H(p)(t) = H(p/2)(2t) and no
+    difference of the halves overflows."""
+    if math.isinf(max(abs(alpha - beta), abs(lam - mu), abs(beta - mu))):
+        with np.errstate(over="ignore"):
+            return 0.5 * alpha, 0.5 * beta, 0.5 * lam, 0.5 * mu, 2.0 * t
+    return alpha, beta, lam, mu, t
+
+
 def log_abs_h(alpha, beta, lam, mu, t):
     """ln|H(t)| elementwise, regular at t = 0."""
     t = np.asarray(t, dtype=np.float64)
-    return _blocked(lambda tb: _log_abs_h(alpha, beta, lam, mu, tb), 1, t)
+    return _blocked(lambda tb: _log_abs_h(*_in_range(alpha, beta, lam, mu, tb)), 1, t)
 
 
 def _log_abs_h(alpha, beta, lam, mu, t):
@@ -201,7 +220,7 @@ def eval_h(alpha, beta, lam, mu, t):
     """H(t) elementwise, saturating to +-inf / 0 when out of range; exactly
     (alpha - beta)/(lam - mu) at t = 0."""
     t = np.asarray(t, dtype=np.float64)
-    return _blocked(lambda tb: _eval_h(alpha, beta, lam, mu, tb), 1, t)
+    return _blocked(lambda tb: _eval_h(*_in_range(alpha, beta, lam, mu, tb)), 1, t)
 
 
 def _eval_h(alpha, beta, lam, mu, t):
@@ -380,26 +399,53 @@ def log_deriv_h(alpha, beta, lam, mu, t, order):
     return log_derivs_h(alpha, beta, lam, mu, t, (order,))[order]
 
 
+# default stencil steps per order, scaled by max(1, |t|) at each point.  The
+# noise floor of a central difference grows like eps/h^k, so higher orders
+# need a coarser step.  The oracle's scans read the exact log-derivatives,
+# not these; the finite differences are read by acceptance criterion 9
+# (within 1e-6 of log_deriv_H), the mpmath tests and the benchmark's
+# kernel-bulk workload.
+DEFAULT_STEPS = {1: 1e-4, 2: 1e-4, 3: 4e-3, 4: 1e-2}
+
+# central stencil per order: offsets (in steps) and weights of the k-th
+# difference, its divisor, and the coefficient c of the k-th derivative of
+# -ln|t|, which is c / t^k
+_STENCILS = {
+    1: ((1.0, -1.0), (1.0, -1.0), 2.0, -1.0),
+    2: ((1.0, 0.0, -1.0), (1.0, -2.0, 1.0), 1.0, 1.0),
+    3: ((2.0, 1.0, -1.0, -2.0), (1.0, -2.0, 2.0, -1.0), 2.0, -2.0),
+    4: ((2.0, 1.0, 0.0, -1.0, -2.0), (1.0, -4.0, 6.0, -4.0, 1.0), 1.0, 6.0),
+}
+
+
 def fd_log_deriv(alpha, beta, lam, mu, t, order, step):
-    """Central finite differences of ln|H| with one Richardson pass.
+    """Central finite differences of ln|H| with one Richardson pass; with
+    step None, DEFAULT_STEPS[order] * max(1, |t|), and order 3 then takes
+    a second Richardson level on h/2 and h/4.
 
     t entries must be nonzero and the stencil (t +- 2*step for orders 3, 4,
     t +- step otherwise) must stay on one side of 0; the caller checks.
-    step is a scalar or an array broadcastable to t.
+    step is None, a scalar or an array broadcastable to t.
     Returns (estimate, error_estimate) with error of order step^4.
     """
-    if order not in (1, 2, 3, 4):
+    if order not in _STENCILS:
         raise ValueError(f"order must be in 1..4, got {order}")
     t = np.asarray(t, dtype=np.float64)
-    step = np.asarray(step, dtype=np.float64)
+    steps = () if step is None else (np.asarray(step, dtype=np.float64),)
     d1, d2, s0 = alpha - beta, lam - mu, beta - mu
     # near |t| = 1e308 the products d t, h^4 and the powers of t overflow;
     # inf there reads as the limit it stands for
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _blocked(lambda tb, hb: _fd_block(d1, d2, s0, order, tb, hb), 2, t, step)
+        return _blocked(lambda tb, *hb: _fd_block(d1, d2, s0, order, tb, *hb), 2, t, *steps)
 
 
-def _fd_block(d1, d2, s0, order, t, step):
+def _fd_block(d1, d2, s0, order, t, step=None):
+    offsets, weights, div, pole = _STENCILS[order]
+    # the h/4 level: third differences are roundoff-limited near 1e-6 at any
+    # single step, and a second level buys back two orders of magnitude
+    deeper = step is None and order == 3
+    if step is None:
+        step = DEFAULT_STEPS[order] * np.maximum(1.0, np.abs(t))
     h = np.broadcast_to(step, t.shape)
     # sigma selects the sinh form per term, decided at the stencil center
     # and held fixed across the stencil
@@ -420,45 +466,38 @@ def _fd_block(d1, d2, s0, order, t, step):
         g1 -= g2
         return g1
 
-    if order <= 2:
-        gp1, gm1, gp5, gm5 = g(1.0), g(-1.0), g(0.5), g(-0.5)
-        if order == 1:
-            e_h = (gp1 - gm1) / (2.0 * h)
-            e_h2 = (gp5 - gm5) / h
-        else:
-            g0 = g(0.0)
-            e_h = (gp1 - 2.0 * g0 + gm1) / (h * h)
-            e_h2 = 4.0 * (gp5 - 2.0 * g0 + gm5) / (h * h)
-    else:
-        gp2, gm2, gp1, gm1 = g(2.0), g(-2.0), g(1.0), g(-1.0)
-        gp5, gm5 = g(0.5), g(-0.5)
-        if order == 3:
-            h3 = h * h * h
-            e_h = (gp2 - 2.0 * gp1 + 2.0 * gm1 - gm2) / (2.0 * h3)
-            e_h2 = 8.0 * (gp1 - 2.0 * gp5 + 2.0 * gm5 - gm1) / (2.0 * h3)
-        else:
-            g0 = g(0.0)
-            h4 = h * h * h * h
-            e_h = (gp2 - 4.0 * gp1 + 6.0 * g0 - 4.0 * gm1 + gm2) / h4
-            e_h2 = 16.0 * (gp1 - 4.0 * gp5 + 6.0 * g0 - 4.0 * gm5 + gm1) / h4
+    # the stencil sums at steps h, h/2 (and h/4), left to right, with g
+    # evaluated once per distinct offset
+    scales = (1.0, 0.5, 0.25) if deeper else (1.0, 0.5)
+    gs = {x: g(x) for x in {o * s for s in scales for o in offsets}}
+    sums = [reduce(np.add, [w * gs[o * s] for o, w in zip(offsets, weights)]) for s in scales]
+    del gs
 
-    est = (4.0 * e_h2 - e_h) / 3.0
-    err = np.abs(e_h2 - e_h) / 3.0
-
-    # exact derivatives of the pieces excluded from the stencil
+    # the pieces excluded from the stencil are differentiated exactly: the
+    # ln|t| of each sinh form, and for order 1 the affine slopes
     c_ln = sigma1.astype(np.float64) - sigma2.astype(np.float64)
+    exact = c_ln * (pole / reduce(np.multiply, [t] * order))
+
+    def richardson(h, coarse, fine):
+        # differences at h and h/2; 2^k rescales the h/2 sum exactly
+        den = div * reduce(np.multiply, [h] * order)
+        e_h = coarse / den
+        e_h2 = 2.0 ** order * fine / den
+        return (4.0 * e_h2 - e_h) / 3.0 - exact, np.abs(e_h2 - e_h) / 3.0
+
+    est, err = richardson(h, sums[0], sums[1])
     if order == 1:
-        dln = 1.0 / t
-        slope = (
+        est += (
             s0
             + np.where(sigma1, 0.5 * d1, np.where(d1 * t > 0.0, d1, 0.0))
             - np.where(sigma2, 0.5 * d2, np.where(d2 * t > 0.0, d2, 0.0))
         )
-        est = est + c_ln * dln + slope
-    elif order == 2:
-        est = est - c_ln / (t * t)
-    elif order == 3:
-        est = est + 2.0 * c_ln / (t * t * t)
-    else:
-        est = est - 6.0 * c_ln / (t * t * t * t)
+    if deeper:
+        # the O(h^4) pair at h and h/2; the error keeps a floor at the
+        # roundoff scale eps / h^3 of the finest inner step, which the
+        # stage spread cannot see
+        half = 0.5 * h
+        est_half, _ = richardson(half, sums[1], sums[2])
+        est = (16.0 * est_half - est) / 15.0
+        err = np.maximum(np.abs(est - est_half), np.finfo(np.float64).eps / half ** 3)
     return est, err

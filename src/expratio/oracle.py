@@ -47,8 +47,9 @@ of those values: central differences through the kernel's noise-controlled
 scheme (``fd_log_deriv``), which differentiates the affine and ln|t| pieces
 of each log term analytically and stencils only the bounded remainder,
 each element on the one branch its stencil center picks, over a large t in
-blocks of 16384 points.  Order 3's second Richardson level runs here on
-the whole array.  A non-finite t or step is rejected with ParameterError.
+blocks of 16384 points.  Every estimate is one kernel call, order 3's
+second Richardson level with default steps included.  A non-finite t or
+step is rejected with ParameterError.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ import numpy as np
 
 from . import _kernels_py
 from ._backend import kernels
+from ._kernels_py import DEFAULT_STEPS
 from .params import HParams, ParameterError
 from .classify import (
     ConvexityKind,
@@ -81,14 +83,6 @@ __all__ = [
     "DEFAULT_STEPS",
     "SIGN_MARGIN",
 ]
-
-# Default stencil steps per derivative order (scaled by max(1, |t|) at each
-# point).  The noise floor of a central difference grows like eps/h^k, so
-# higher orders need a coarser step.  The scans read the exact
-# log-derivatives, not these; the finite differences are read by acceptance
-# criterion 9 (within 1e-6 of log_deriv_H), the mpmath tests and the
-# benchmark's kernel-bulk workload.
-DEFAULT_STEPS = {1: 1e-4, 2: 1e-4, 3: 4e-3, 4: 1e-2}
 
 SIGN_MARGIN = 1e-8
 
@@ -172,15 +166,6 @@ def _verdict(ts: np.ndarray, probes: np.ndarray, cuts: np.ndarray) -> OracleVerd
     return OracleVerdict("flat", 0, 0, 0.0, ())
 
 
-def _default_step(t, order: int):
-    return DEFAULT_STEPS[order] * np.maximum(1.0, np.abs(t))
-
-
-def _stencil_reach(order: int) -> float:
-    # widest offset used by the difference stencils, in units of step
-    return 2.0 if order >= 3 else 1.0
-
-
 def numeric_log_derivative(
     params: HParams, t, order: int, step=None
 ):
@@ -197,31 +182,19 @@ def numeric_log_derivative(
     t_arr = np.asarray(t, dtype=np.float64)
     if not np.all(np.isfinite(t_arr)):
         raise ParameterError("t values must be finite")
-    if step is None:
-        step_arr = _default_step(t_arr, order)
-    else:
-        step_arr = np.broadcast_to(np.asarray(step, dtype=np.float64), t_arr.shape)
+    if step is not None:
+        step = np.broadcast_to(np.asarray(step, dtype=np.float64), t_arr.shape)
         # a NaN step fails the comparison and is rejected with the rest
-        if not np.all((step_arr > 0.0) & np.isfinite(step_arr)):
+        if not np.all((step > 0.0) & np.isfinite(step)):
             raise ParameterError("step must be positive and finite")
-    reach = _stencil_reach(order)
-    if np.any(np.abs(t_arr) <= reach * step_arr):
+    # the stencil's widest offset times the step; a default step is
+    # DEFAULT_STEPS[order] * max(1, |t|), and that reach is below |t| once
+    # |t| >= 1
+    reach = max(_kernels_py._STENCILS[order][0]) * (DEFAULT_STEPS[order] if step is None else step)
+    if np.any(np.abs(t_arr) <= reach):
         raise ParameterError("stencil would touch t = 0; need |t| > step * stencil reach")
     a, b, l, m = params.as_tuple()
-    est, err = kernels.fd_log_deriv(a, b, l, m, t_arr, order, step_arr)
-    if order == 3 and step is None:
-        # third differences are roundoff-limited near 1e-6 at any single
-        # step; one more Richardson level (O(h^2) pair inside the kernel,
-        # O(h^4) pair here) buys back two orders of magnitude.  The error
-        # estimate keeps a floor at the roundoff scale eps / h^3 of the
-        # finest inner step, which the stage spread cannot see.
-        est_half, _ = kernels.fd_log_deriv(a, b, l, m, t_arr, order, 0.5 * step_arr)
-        refined = (16.0 * est_half - est) / 15.0
-        # the cube overflows near |t| = 1e308, where the floor reads 0
-        with np.errstate(over="ignore"):
-            floor = np.finfo(np.float64).eps / (0.5 * step_arr) ** 3
-        err = np.maximum(np.abs(refined - est_half), floor)
-        est = refined
+    est, err = kernels.fd_log_deriv(a, b, l, m, t_arr, order, step)
     if np.isscalar(t) or t_arr.ndim == 0:
         return float(est), float(err)
     return est, err

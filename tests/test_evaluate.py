@@ -325,6 +325,21 @@ class TestOverflowSafety:
             signed = eval_H_signed_log(p, 1e308)
             assert (signed.sign, signed.log_mag) == (1, -1e308)
 
+    def test_differences_beyond_range_at_zero(self):
+        # alpha - beta and lam - mu overflow; H(p)(t) = H(p/2)(2t), and the
+        # halved differences do not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = mp_log_abs_H(1e308, -1e308, 1, 0, 0.0)
+            for t in ([0.0], [0.0, 1.0]):
+                assert rel_err(K.log_abs_h(1e308, -1e308, 1.0, 0.0, np.array(t))[0], want) < 1e-12
+            p = HParams(1e308, -1e308, 1.5e308, -1.5e308)
+            for t in (0.0, 1e-320, 1e-310):
+                assert rel_err(eval_H(p, t), mp_H(*p.as_tuple(), t)) < 1e-12, t
+            signed = eval_H_signed_log(p, 0.0)
+            assert signed.sign == 1
+            assert rel_err(signed.log_mag, mp_log_abs_H(*p.as_tuple(), 0.0)) < 1e-12
+
     def test_no_nan_anywhere(self, rng):
         for p in random_hparams(rng, 10):
             for t in (-5000.0, -700.0, -1e-300, 0.0, 1e-300, 700.0, 5000.0):

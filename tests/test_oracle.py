@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from expratio.classify import ConvexityKind, Direction, ThirdOrderKind, classify
 from expratio.cli import main as cli_main
 from expratio.params import ParameterError
 from expratio.oracle import (
+    DEFAULT_STEPS,
     SIGN_MARGIN,
     _CHUNK,
     _check_chunk,
@@ -666,44 +668,59 @@ _BLOCK = _kernels_py._BLOCK
 # at large t, a huge difference, a ratio that underflows, a huge common shift
 _BLOCK_PARAMS = [HParams(2, 0, 3, 0), HParams(1e200, 0, 1, 0), HParams(1e-300, 0, 1e300, 0),
                  HParams(700, -700, 1, 0), HParams(1.3, -0.4, 2.1, 0.2)]
+# differences that overflow the double range, for the value kernels
+_OVERFLOW_PARAMS = [HParams(1e308, -1e308, 1.5e308, -1.5e308)]
 
 
 def _block_kernels():
-    # (name, function of (params, t), smallest |t| it takes)
+    # (name, function of (params, t), smallest |t| it takes, parameter sets)
     def fd(k):
         return lambda p, t: _kernels_py.fd_log_deriv(*p.as_tuple(), t, k, 1e-3)
 
     def nld(k):
         return lambda p, t: numeric_log_derivative(p, t, k)
 
+    values = _BLOCK_PARAMS + _OVERFLOW_PARAMS
     cases = [
-        ("log_abs_h", lambda p, t: _kernels_py.log_abs_h(*p.as_tuple(), t), 0.0),
-        ("eval_h", lambda p, t: _kernels_py.eval_h(*p.as_tuple(), t), 0.0),
-        *((f"fd_log_deriv-o{k}", fd(k), 0.05) for k in (1, 2, 3, 4)),
-        *((f"numeric_log_derivative-o{k}", nld(k), 0.05) for k in (1, 2, 3, 4)),
+        ("log_abs_h", lambda p, t: _kernels_py.log_abs_h(*p.as_tuple(), t), 0.0, values),
+        ("eval_h", lambda p, t: _kernels_py.eval_h(*p.as_tuple(), t), 0.0, values),
+        *((f"fd_log_deriv-o{k}", fd(k), 0.05, _BLOCK_PARAMS) for k in (1, 2, 3, 4)),
+        *((f"numeric_log_derivative-o{k}", nld(k), 0.05, _BLOCK_PARAMS) for k in (1, 2, 3, 4)),
     ]
     return [pytest.param(*case, id=case[0]) for case in cases]
 
 
-@pytest.mark.parametrize("name, fn, t_min", _block_kernels())
-def test_values_independent_of_blocks(name, fn, t_min):
+# the block tests' array shapes: one block less one point, one block, one
+# block and a point, several blocks, and a 2-D array
+_BLOCK_SHAPES = [(_BLOCK - 1,), (_BLOCK,), (_BLOCK + 1,), (3 * _BLOCK + 7,), (3, _BLOCK // 2 + 5)]
+
+
+def _block_grid(rng, shape, t_min):
+    # |t| log-uniform from t_min (1e-300 for 0) to 1e308 with either sign,
+    # eight points at 1e308 and -1e308 at each block's last point, and
+    # t = 0 at every 997th point when t_min is 0
+    n = math.prod(shape)
+    low = -300.0 if t_min == 0.0 else math.log10(t_min)
+    t = np.where(rng.random(n) < 0.5, -1.0, 1.0) * 10.0 ** rng.uniform(low, 308.0, n)
+    t[rng.integers(0, n, 8)] = 1e308
+    t[_BLOCK - 1::_BLOCK] = -1e308
+    if t_min == 0.0:
+        t[::997] = 0.0
+    return t.reshape(shape)
+
+
+@pytest.mark.parametrize("name, fn, t_min, params", _block_kernels())
+def test_values_independent_of_blocks(name, fn, t_min, params):
     # every element has the bits of a call on a shorter piece (pieces of
     # 5000 points, so one straddles each block edge) and of a one-element
     # call at each block edge, whatever the array's length or shape
     rng = np.random.default_rng(20)
-    shapes = [(_BLOCK - 1,), (_BLOCK,), (_BLOCK + 1,), (3 * _BLOCK + 7,), (3, _BLOCK // 2 + 5)]
-    for shape in shapes:
-        n = math.prod(shape)
-        low = -300.0 if t_min == 0.0 else math.log10(t_min)
-        t = np.where(rng.random(n) < 0.5, -1.0, 1.0) * 10.0 ** rng.uniform(low, 308.0, n)
-        t[rng.integers(0, n, 8)] = 1e308
-        t[_BLOCK - 1::_BLOCK] = -1e308
-        if t_min == 0.0:
-            t[::997] = 0.0
-        t = t.reshape(shape)
+    for shape in _BLOCK_SHAPES:
+        t = _block_grid(rng, shape, t_min)
         flat = t.ravel()
+        n = flat.size
         edges = sorted({0, n - 1, *(i + j for i in range(_BLOCK, n, _BLOCK) for j in (-1, 0))})
-        for p in _BLOCK_PARAMS:
+        for p in params:
             whole = fn(p, t)
             whole = [np.ravel(a) for a in (whole if isinstance(whole, tuple) else (whole,))]
             for start in range(0, n, 5000):
@@ -714,6 +731,44 @@ def test_values_independent_of_blocks(name, fn, t_min):
                 one = fn(p, flat[i:i + 1])
                 for a, b in zip(whole, one if isinstance(one, tuple) else (one,)):
                     assert same_bits(a[i:i + 1], b), (name, shape, p, i)
+
+
+def test_one_kernel_call_per_estimate(monkeypatch):
+    # every order, with default and explicit steps, is one fd_log_deriv
+    # call; order 3's second Richardson level runs inside it
+    calls = []
+
+    def counted(*args):
+        calls.append(args[5])
+        return _kernels_py.fd_log_deriv(*args)
+
+    monkeypatch.setattr(oracle, "kernels", types.SimpleNamespace(fd_log_deriv=counted))
+    t = np.linspace(0.5, 3.0, 7)
+    for order in (1, 2, 3, 4):
+        for step in (None, 1e-3):
+            calls.clear()
+            numeric_log_derivative(HParams(1.3, -0.4, 2.1, 0.2), t, order, step)
+            assert calls == [order], (order, step)
+
+
+def test_default_order3_is_two_level_richardson():
+    # the default-step order-3 estimate and error have the bits of two
+    # explicit-step kernel calls, at h = DEFAULT_STEPS[3] * max(1, |t|) and
+    # at h/2, combined by one more Richardson level with an error floor of
+    # eps / (h/2)^3
+    rng = np.random.default_rng(21)
+    for shape in _BLOCK_SHAPES:
+        t = _block_grid(rng, shape, 0.05)
+        h = DEFAULT_STEPS[3] * np.maximum(1.0, np.abs(t))
+        for p in _BLOCK_PARAMS:
+            est, err = numeric_log_derivative(p, t, 3)
+            with np.errstate(over="ignore", invalid="ignore"):
+                coarse, _ = _kernels_py.fd_log_deriv(*p.as_tuple(), t, 3, h)
+                half, _ = _kernels_py.fd_log_deriv(*p.as_tuple(), t, 3, 0.5 * h)
+                refined = (16.0 * half - coarse) / 15.0
+                floor = np.finfo(np.float64).eps / (0.5 * h) ** 3
+            assert same_bits(est, refined), (shape, p)
+            assert same_bits(err, np.maximum(np.abs(refined - half), floor)), (shape, p)
 
 
 def _peak(fn):
@@ -733,13 +788,15 @@ def _peak(fn):
 
 def test_block_pass_memory():
     # blocks of _BLOCK points keep the temporaries of a 2^17-point call
-    # near 128 KiB each: order 4 peaks near 6 MiB (16.4 MiB when the
-    # kernel ran on the whole array), eval_H_grid near 2 MiB (7.1 MiB)
+    # near 128 KiB each: orders 3 and 4 peak near 5 MiB (16.4 MiB for order
+    # 4 when the kernel ran on the whole array, 9.0 MiB for order 3 when its
+    # second Richardson level did), eval_H_grid near 2 MiB (7.1 MiB)
     rng = np.random.default_rng(3)
     t = rng.uniform(0.1, 50.0, 1 << 17) * np.where(rng.random(1 << 17) < 0.5, -1.0, 1.0)
     p = HParams(1.3, -0.4, 2.1, 0.2)
-    peak = _peak(lambda: numeric_log_derivative(p, t, 4))
-    assert peak < 8 * 2**20, peak
+    for order in (3, 4):
+        peak = _peak(lambda: numeric_log_derivative(p, t, order))
+        assert peak < 8 * 2**20, (order, peak)
     peak = _peak(lambda: eval_H_grid(p, t))
     assert peak < 3 * 2**20, peak
 
