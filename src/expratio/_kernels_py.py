@@ -70,7 +70,10 @@ element, switching at v = ln 2.
 Once alpha - beta, lam - mu or beta - mu overflows, ``log_abs_h`` and
 ``eval_h`` evaluate H at p/2 and 2t, since H(p)(t) = H(p/2)(2t) and the
 halved differences do not overflow; so t = 0 reads (alpha - beta)/(lam - mu)
-from them.
+from them.  ``log_derivs_h`` forms |alpha| + |beta| + |lam| + |mu| as well,
+which still overflows at p/2, so a parameter set for which that sum
+overflows is evaluated at p/p2 and p2 t, p2 the power of two of its largest
+|p|, and the k-th value and bound are scaled back by p2^k.
 
 ``log_abs_h``, ``eval_h`` and ``fd_log_deriv`` are elementwise and run a
 large t in blocks of ``_BLOCK`` points, each block's results written into
@@ -349,12 +352,51 @@ def log_derivs_h(alpha, beta, lam, mu, t, orders):
     |d|^k and overflows with it, as the value does, except that odd orders
     read exactly 0 (value and bound) at t = 0.  The returned arrays are the
     caller's to change in place.
+
+    A parameter set whose |alpha| + |beta| + |lam| + |mu| overflows (as it
+    does once alpha - beta, lam - mu or beta - mu overflows) is evaluated
+    at q = p/p2 and p2 t, p2 being the power of two of its largest |p|, and
+    its k-th value and bound are scaled by p2^k, since (ln|H_p|)^(k)(t) =
+    p2^k (ln|H_q|)^(k)(p2 t); nothing formed from q overflows.  Every other
+    set is evaluated as it is.  Past |t| = DBL_MAX/p2, p2 t reads +-inf and
+    the closed forms give their limits there.
     """
     if not orders or any(k not in (1, 2, 3, 4) for k in orders):
         raise ValueError(f"orders must be in 1..4, got {orders}")
     t = np.asarray(t, dtype=np.float64)
-    ts = t.ravel()
     params = np.array([alpha, beta, lam, mu], dtype=np.float64)
+    with np.errstate(over="ignore"):
+        a, b, l, m = np.abs(params)
+        wide = np.isinf(a + b + l + m)
+    if not wide.any():
+        return _log_derivs_h(params, t, orders)
+    if params.ndim == 1:
+        return _log_derivs_rescaled(params, t, orders)
+    # the other rows together, each such row on its own: a row has the same
+    # bits alone and in any chunk
+    out = {k: (np.empty(wide.shape + t.shape), np.empty(wide.shape + t.shape)) for k in orders}
+    parts = [(~wide, _log_derivs_h(params[:, ~wide], t, orders))]
+    parts += [(i, _log_derivs_rescaled(params[:, i], t, orders)) for i in np.flatnonzero(wide)]
+    for rows, part in parts:
+        for k, (value, bound) in part.items():
+            out[k][0][rows] = value
+            out[k][1][rows] = bound
+    return out
+
+
+def _log_derivs_rescaled(params, t, orders):
+    """log_derivs_h of one parameter set evaluated at p/p2 and p2 t, the
+    k-th value and bound scaled back by p2^k (exact, saturating to +-inf)."""
+    e = math.frexp(float(np.abs(params).max()))[1] - 1
+    with np.errstate(over="ignore"):
+        out = _log_derivs_h(np.ldexp(params, -e), np.ldexp(t, e), orders)
+        return {k: (np.ldexp(value, k * e), np.ldexp(bound, k * e))
+                for k, (value, bound) in out.items()}
+
+
+def _log_derivs_h(params, t, orders):
+    """log_derivs_h of float64 parameters, (4,) or (4, n), and a float64 t."""
+    ts = t.ravel()
     shape = params.shape[1:] + t.shape
     rows = params.reshape(4, -1, 1)
     a, b, l, m = rows

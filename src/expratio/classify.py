@@ -14,14 +14,24 @@ derived from the same branch encoding so they cannot diverge.
 
 One sign rule decides every boundary: a value within the zero band counts
 as 0.  Each invariant gets its band sign (-1, 0 or +1, band from
-``zero_band_width``) once per call and every verdict reads those signs;
+``zero_band_width``) once per call and every verdict reads those signs.
+So the monotonicity verdicts and the invariant band hits are a function of
+(lambda > mu, the five band signs) alone, at most 2 * 3^5 = 486 keys:
+``classify_H`` computes only the invariants and the ratio per call and
+looks the verdicts up in a memo of ``_decide`` (``_decision``), which
+evaluates the branches once per key; each report gets its own copy of the
+memo's verdict dict.  A NaN sign, which fails every condition, is decided
+without the memo.
+
 |ratio|, ratio = (a-b)/(l-m), is compared with 1 in one place,
 ``classify_log_convexity_H``, where ||ratio| - 1| <= ZERO_BAND_EPS is
 log-affine, and the third-order verdict follows from that answer.  Band
 hits, the invariants whose band sign is 0 and ``"ratio"``, are reported in
 ``zero_band_hits``.  Q and P are adapters over ``classify_H``:
 Q(alpha, beta) is H(-alpha, -beta, 0, -1) and P is H of the logarithms of
-its bases.
+its bases; Q's verdicts are mapped from H's by an identity-keyed table.
+The enums hash by identity, in C, as they already compare, so no lookup
+keyed by them runs Python code.
 
 Useful algebraic facts, relied on by the consistency checks:
 C - B = D - E = 2 (a-b)|a-b|, and B + D = C + E = 2A, so the whole-line
@@ -30,6 +40,7 @@ conditions imply both half-line conditions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -65,11 +76,15 @@ class Interval(Enum):
     NEGATIVE_HALF_LINE = "(-inf,0)"
     WHOLE_LINE = "(-inf,inf)"
 
+    __hash__ = object.__hash__
+
 
 class Direction(Enum):
     INCREASING = "increasing"
     DECREASING = "decreasing"
     NON_MONOTONIC = "non-monotonic"
+
+    __hash__ = object.__hash__
 
 
 class ConvexityKind(Enum):
@@ -77,11 +92,15 @@ class ConvexityKind(Enum):
     LOG_CONCAVE = "log-concave"
     LOG_AFFINE = "log-affine"
 
+    __hash__ = object.__hash__
+
 
 class ThirdOrderKind(Enum):
     CONVEX_POS_CONCAVE_NEG = "3-log-convex on (0,inf), 3-log-concave on (-inf,0)"
     CONCAVE_POS_CONVEX_NEG = "3-log-concave on (0,inf), 3-log-convex on (-inf,0)"
     LOG_AFFINE = "log-affine"
+
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -132,20 +151,22 @@ class QReport:
     zero_band_hits: tuple[str, ...] = ()
 
 
-def _invariant_values(a: float, b: float, l: float, m: float) -> dict[str, float]:
+def _invariants(a: float, b: float, l: float, m: float) -> tuple[float, float, float, float, float]:
+    """(A, B, C, D, E) of the exponents (a, b, l, m), in that order."""
     d = a - b
     ad = abs(d)
-    return {
-        "A": d * (a + b - l - m),
-        "B": d * (a + b - ad - 2.0 * l),
-        "C": d * (a + b + ad - 2.0 * l),
-        "D": d * (a + b + ad - 2.0 * m),
-        "E": d * (a + b - ad - 2.0 * m),
-    }
+    s = a + b
+    return (
+        d * (s - l - m),
+        d * (s - ad - 2.0 * l),
+        d * (s + ad - 2.0 * l),
+        d * (s + ad - 2.0 * m),
+        d * (s - ad - 2.0 * m),
+    )
 
 
 def compute_invariants(params: HParams) -> InvariantSet:
-    return InvariantSet(**_invariant_values(*params.as_tuple()))
+    return InvariantSet(*_invariants(*params.as_tuple()))
 
 
 def _band(params: HParams) -> tuple[float, float]:
@@ -237,6 +258,29 @@ _TESTED = {
 }
 
 
+def _decide(lam_gt_mu: bool, signs: tuple) -> tuple[dict, tuple[str, ...]]:
+    """The monotonicity verdict per interval and the tested invariants whose
+    band sign is 0, for the ordering and the band signs of A..E (a tuple,
+    each -1, 0 or +1).  A NaN sign fails every sign condition and is no
+    hit.  The caller must not change the returned dict: ``_decision`` hands
+    the same one out for every call with the same key."""
+    named = dict(zip("ABCDE", signs))
+    mono = {}
+    for interval, branches in _LOOKUP[lam_gt_mu]:
+        for n1, w1, n2, w2, verdict in branches:
+            if named[n1] * w1 >= 0 and named[n2] * w2 >= 0:
+                break
+        else:
+            verdict = _NON_MONOTONIC
+        mono[interval] = verdict
+    return mono, tuple(name for name in _TESTED[lam_gt_mu] if named[name] == 0)
+
+
+# _decide memoized: classify_H keeps NaN signs out of it, so a key is one of
+# 2 orderings and 3^5 sign tuples, and the cache holds at most 486 entries
+_decision = functools.cache(_decide)
+
+
 def classify_log_convexity_H(params: HParams) -> ConvexityVerdict:
     p2 = _band(params)[1]
     a, b, l, m = params.as_tuple()
@@ -276,30 +320,22 @@ _THIRD_ORDER = {
 
 
 def classify_H(params: HParams) -> ClassificationReport:
-    inv = compute_invariants(params)
     band, p2 = _band(params)
     a, b, l, m = params.as_tuple()
-    a, b, l, m = a / p2, b / p2, l / p2, m / p2
-    values = _invariant_values(a, b, l, m)
+    qa, qb, ql, qm = a / p2, b / p2, l / p2, m / p2
     # band sign: -1, 0 or +1, with 0 meaning -band <= x <= band; NaN stays
     # NaN and so fails every sign condition, as the plain comparisons do
-    signs = {name: (x > band) - (x < -band) if x == x else x for name, x in values.items()}
-    lam_gt_mu = params.lam > params.mu
-    mono = {}
-    for interval, branches in _LOOKUP[lam_gt_mu]:
-        for n1, w1, n2, w2, verdict in branches:
-            if signs[n1] * w1 >= 0 and signs[n2] * w2 >= 0:
-                break
-        else:
-            verdict = _NON_MONOTONIC
-        mono[interval] = verdict
-    convexity = _convexity(a - b, l - m, params)
-    hits = tuple(name for name in _TESTED[lam_gt_mu] if signs[name] == 0)
+    signs = tuple([(x > band) - (x < -band) if x == x else x for x in _invariants(qa, qb, ql, qm)])
+    # a NaN is a new cache key at every call: decide it without the memo
+    decide = _decision if math.isfinite(sum(signs)) else _decide
+    mono, hits = decide(l > m, signs)
+    convexity = _convexity(qa - qb, ql - qm, params)
     if convexity.kind is ConvexityKind.LOG_AFFINE:
         hits += ("ratio",)
     return ClassificationReport(
-        invariants=inv,
-        monotonicity=mono,
+        invariants=InvariantSet(*_invariants(a, b, l, m)),
+        # a copy, so that no two reports share a dict
+        monotonicity=mono.copy(),
         convexity=convexity,
         third_order=_THIRD_ORDER[convexity.kind],
         zero_band_hits=hits,
@@ -316,8 +352,12 @@ def classify_P(params: PParams) -> ClassificationReport:
 # invariants A, C, E are Q's own q1, q2, q3
 
 _Q_NAMES = {"A": "q1", "C": "q2", "E": "q3", "ratio": "ratio"}
+# keyed by the id of each H verdict _decide hands out, which _LOOKUP and
+# _NON_MONOTONIC keep alive: an id is hashed in C, a frozen dataclass in
+# Python
 _Q_VERDICTS = {
-    v: MonotonicityVerdict(v.direction, tuple((_Q_NAMES[n], s) for n, s in v.fired_conditions[1:]))
+    id(v): MonotonicityVerdict(
+        v.direction, tuple((_Q_NAMES[n], s) for n, s in v.fired_conditions[1:]))
     for v in [_NON_MONOTONIC] + [b[4] for _, branches in _LOOKUP[True] for b in branches]
 }
 
@@ -326,7 +366,7 @@ def classify_Q(params: QParams) -> QReport:
     report = classify_H(params.h_params())
     kind = report.convexity.kind
     return QReport(
-        monotonicity={iv: _Q_VERDICTS[v] for iv, v in report.monotonicity.items()},
+        monotonicity={iv: _Q_VERDICTS[id(v)] for iv, v in report.monotonicity.items()},
         log_convex=kind is ConvexityKind.LOG_CONVEX,
         log_concave=kind is ConvexityKind.LOG_CONCAVE,
         third_order=report.third_order,

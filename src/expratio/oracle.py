@@ -367,11 +367,16 @@ _CHECKS = tuple((1, iv, f"monotonicity {iv.value}") for iv in Interval) + (
 )
 
 
+# the intervals in Interval order: iterating the Enum class runs a Python
+# generator, once per draw here
+_INTERVALS = tuple(Interval)
+
+
 def _claimed(report) -> list:
     """The verdict behind each of _CHECKS."""
+    mono = report.monotonicity
     third = report.third_order.kind
-    return [report.monotonicity[iv].direction for iv in Interval] + [
-        report.convexity.kind, third, third]
+    return [mono[iv].direction for iv in _INTERVALS] + [report.convexity.kind, third, third]
 
 
 def _check_chunk(draws: list[HParams]) -> list[tuple[str, dict | None]]:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 
@@ -21,7 +22,9 @@ from expratio import (
     decision_table,
     eval_H,
 )
+from expratio import classify
 from expratio.classify import zero_band_width
+from expratio.oracle import cross_validate
 
 from conftest import family_draws, random_hparams, same_bits
 
@@ -443,3 +446,76 @@ class TestDecisionTable:
                     interval = next(iv for iv in Interval if iv.value == row.interval)
                     got = classify_H(p).monotonicity[interval].direction.value
                     assert got == row.direction, (p, row)
+
+
+# ---------------------------------------------------------------------------
+# the memoized decision
+
+
+def _direct(lam_gt_mu, signs):
+    """The verdict per interval and the tested invariants on the band, read
+    straight from classify._BRANCHES: the first branch of the ordering whose
+    two conditions hold, increasing before decreasing; a NaN sign fails
+    every condition."""
+    named = dict(zip("ABCDE", signs))
+    ordering = "gt" if lam_gt_mu else "lt"
+    holds = {">=0": lambda x: x >= 0, "<=0": lambda x: x <= 0}
+    first = ("lambda>mu" if lam_gt_mu else "lambda<mu", "")
+    mono = {
+        interval: next(
+            ((direction, (first,) + conds)
+             for direction in (Direction.INCREASING, Direction.DECREASING)
+             for o, conds in classify._BRANCHES[interval, direction]
+             if o == ordering and all(holds[s](named[n]) for n, s in conds)),
+            (Direction.NON_MONOTONIC, ()),
+        )
+        for interval in Interval
+    }
+    hits = tuple(n for n in ("ACE" if lam_gt_mu else "ADB") if named[n] == 0)
+    return mono, hits
+
+
+def _as_pairs(mono):
+    return {iv: (v.direction, v.fired_conditions) for iv, v in mono.items()}
+
+
+def test_memoized_decision_matches_branches():
+    # every key the memo can hold: both orderings, all 3^5 sign tuples
+    for lam_gt_mu in (True, False):
+        for signs in itertools.product((-1, 0, 1), repeat=5):
+            mono, hits = classify._decision(lam_gt_mu, signs)
+            want_mono, want_hits = _direct(lam_gt_mu, signs)
+            assert list(mono) == list(Interval)
+            assert _as_pairs(mono) == want_mono, (lam_gt_mu, signs)
+            assert hits == want_hits, (lam_gt_mu, signs)
+
+
+@pytest.mark.parametrize("at", range(5))
+def test_nan_sign_not_memoized(monkeypatch, at):
+    # a NaN invariant keeps a NaN band sign: it fails every condition, is no
+    # hit, and is decided without the memo, whose key would be new each time
+    values = [1.0, -1.0, 0.0, 1.0, 0.0]
+    values[at] = math.nan
+    monkeypatch.setattr(classify, "_invariants", lambda a, b, l, m: tuple(values))
+    for p in (HParams(3, 1, 2, 0), HParams(3, 1, 0, 2)):
+        before = classify._decision.cache_info()
+        report = classify_H(p)
+        assert classify._decision.cache_info() == before
+        want_mono, want_hits = _direct(p.lam > p.mu, values)
+        assert _as_pairs(report.monotonicity) == want_mono, (at, p)
+        assert tuple(h for h in report.zero_band_hits if h != "ratio") == want_hits
+
+
+def test_reports_do_not_share_verdicts():
+    p = HParams(1.3, -0.4, 2.1, 0.2)
+    first = classify_H(p)
+    want = dict(first.monotonicity)
+    first.monotonicity[Interval.WHOLE_LINE] = None
+    first.monotonicity.pop(Interval.POSITIVE_HALF_LINE)
+    assert classify_H(p).monotonicity == want
+
+
+def test_memo_bounded_after_verify():
+    cross_validate(2000, 7)
+    info = classify._decision.cache_info()
+    assert 0 < info.currsize <= 2 * 3**5, info

@@ -190,6 +190,61 @@ class TestGridMonotonicity:
         assert fall_t < 1.0 < rise_t
 
 
+# alpha - beta, lam - mu and beta - mu overflow the double range
+_WIDE = HParams(1e308, -1e308, 1.5e308, -1.5e308)
+
+
+class TestOverflowingDifferences:
+    @pytest.mark.parametrize("interval, want, direction", [
+        (Interval.POSITIVE_HALF_LINE, "falls", Direction.DECREASING),
+        (Interval.NEGATIVE_HALF_LINE, "rises", Direction.INCREASING),
+        (Interval.WHOLE_LINE, "both", Direction.NON_MONOTONIC),
+    ])
+    def test_scan_reads_classifier_direction(self, interval, want, direction):
+        # the kernel evaluates the set at p/p2 and p2 t and scales back, with
+        # no overflow warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert grid_monotonicity_check(_WIDE, interval).direction == want
+        assert classify_H(_WIDE).monotonicity[interval].direction is direction
+
+    def test_overflowing_sums_rescaled(self):
+        # no difference overflows, but alpha + beta, lam + mu and the
+        # magnitude sum of the order-1 bound do
+        p = HParams(1e308, 0.9e308, 0.95e308, 0.85e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for interval in Interval:
+                assert grid_monotonicity_check(p, interval).direction == "rises", interval
+                assert classify_H(p).monotonicity[interval].direction is Direction.INCREASING
+
+    def test_order1_scale_covariant(self):
+        # (ln|H_p|)'(t) = p2 (ln|H_q|)'(p2 t) with q = p/p2, both scalings
+        # exact: mpmath differentiates H_q at p2 t
+        e = math.frexp(1.5e308)[1] - 1
+        q = [math.ldexp(x, -e) for x in _WIDE.as_tuple()]
+        ts = np.geomspace(1e-310, 1e-300, 11)
+        value, bound = _kernels_py.log_deriv_h(*_WIDE.as_tuple(), ts, 1)
+        assert np.all(np.isfinite(value)) and np.all(np.isfinite(bound))
+        for t, v, bd in zip(ts, value, bound):
+            want = math.ldexp(float(mp_log_deriv_H(*q, math.ldexp(t, e), 1)), e)
+            assert abs(v - want) <= bd, (t, v, want, bd)
+            assert abs(v - want) <= 1e-14 * abs(want), (t, v, want)
+
+    def test_chunk_rows_keep_their_bits(self):
+        # in a chunk, a row whose differences overflow is its one-row call,
+        # and every other row keeps the bits of a chunk without it
+        rows = [(1.3, -0.4, 2.1, 0.2), _WIDE.as_tuple(), (4.1, -2.2, 0.3, 1.9)]
+        ts = GridSpec._ts
+        chunk = _kernels_py.log_derivs_h(*np.array(rows).T, ts, (1, 2, 3))
+        rest = _kernels_py.log_derivs_h(*np.array(rows[::2]).T, ts, (1, 2, 3))
+        alone = _kernels_py.log_derivs_h(*_WIDE.as_tuple(), ts, (1, 2, 3))
+        for k in (1, 2, 3):
+            for got, want_rest, want_alone in zip(chunk[k], rest[k], alone[k]):
+                assert same_bits(got[::2], want_rest), k
+                assert same_bits(got[1], want_alone), k
+
+
 class TestKlogSignCheck:
     def test_log_convex_case(self):
         v = grid_klog_sign_check(HParams(4, 0, 2, 0), Interval.WHOLE_LINE, 2)
