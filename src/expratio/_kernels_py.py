@@ -70,10 +70,12 @@ element, switching at v = ln 2.
 Once alpha - beta, lam - mu or beta - mu overflows, ``log_abs_h`` and
 ``eval_h`` evaluate H at p/2 and 2t, since H(p)(t) = H(p/2)(2t) and the
 halved differences do not overflow; so t = 0 reads (alpha - beta)/(lam - mu)
-from them.  ``log_derivs_h`` forms |alpha| + |beta| + |lam| + |mu| as well,
-which still overflows at p/2, so a parameter set for which that sum
-overflows is evaluated at p/p2 and p2 t, p2 the power of two of its largest
-|p|, and the k-th value and bound are scaled back by p2^k.
+from them.  ``fd_log_deriv`` halves the same way, with any explicit step
+doubled, and scales the estimate and its error by 2^order.
+``log_derivs_h`` forms |alpha| + |beta| + |lam| + |mu| as well, which
+still overflows at p/2, so a parameter set for which that sum overflows is
+evaluated at p/p2 and p2 t, p2 the power of two of its largest |p|, and
+the k-th value and bound are scaled back by p2^k.
 
 ``log_abs_h``, ``eval_h`` and ``fd_log_deriv`` are elementwise and run a
 large t in blocks of ``_BLOCK`` points, each block's results written into
@@ -474,11 +476,21 @@ def fd_log_deriv(alpha, beta, lam, mu, t, order, step):
         raise ValueError(f"order must be in 1..4, got {order}")
     t = np.asarray(t, dtype=np.float64)
     steps = () if step is None else (np.asarray(step, dtype=np.float64),)
-    d1, d2, s0 = alpha - beta, lam - mu, beta - mu
     # near |t| = 1e308 the products d t, h^4 and the powers of t overflow;
     # inf there reads as the limit it stands for
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _blocked(lambda tb, *hb: _fd_block(d1, d2, s0, order, tb, *hb), 2, t, *steps)
+        alpha, beta, lam, mu, tq = _in_range(alpha, beta, lam, mu, t)
+        # _in_range hands t back unless a difference overflows; then
+        # ln|H(p)(t)| = ln|H(p/2)(2t)|, whose k-th derivative is 2^k that at
+        # 2t, taken with the step doubled
+        halved = tq is not t
+        if halved:
+            steps = tuple(2.0 * s for s in steps)
+        d1, d2, s0 = alpha - beta, lam - mu, beta - mu
+        est, err = _blocked(lambda tb, *hb: _fd_block(d1, d2, s0, order, tb, *hb), 2, tq, *steps)
+        if halved:
+            est, err = est * 2.0 ** order, err * 2.0 ** order
+    return est, err
 
 
 def _fd_block(d1, d2, s0, order, t, step=None):

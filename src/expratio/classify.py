@@ -9,19 +9,18 @@ invariants
 
 (with (a, b, l, m) the four exponents), plus the ordering of l and m.
 Each (interval, direction) pair has exactly two qualifying branches, one
-per ordering; the decision table emitter and the verdict lookup are both
+per ordering; the decision table emitter and the verdict table are both
 derived from the same branch encoding so they cannot diverge.
 
 One sign rule decides every boundary: a value within the zero band counts
 as 0.  Each invariant gets its band sign (-1, 0 or +1, band from
 ``zero_band_width``) once per call and every verdict reads those signs.
 So the monotonicity verdicts and the invariant band hits are a function of
-(lambda > mu, the five band signs) alone, at most 2 * 3^5 = 486 keys:
+(lambda > mu, the five band signs) alone, 2 * 3^5 = 486 keys.  One table,
+``_DECISIONS``, built from the branches at import, holds all of them:
 ``classify_H`` computes only the invariants and the ratio per call and
-looks the verdicts up in a memo of ``_decide`` (``_decision``), which
-evaluates the branches once per key; each report gets its own copy of the
-memo's verdict dict.  A NaN sign, which fails every condition, is decided
-without the memo.
+reads its verdicts there; each report gets its own copy of the table's
+verdict dict.
 
 |ratio|, ratio = (a-b)/(l-m), is compared with 1 in one place,
 ``classify_log_convexity_H``, where ||ratio| - 1| <= ZERO_BAND_EPS is
@@ -40,7 +39,7 @@ conditions imply both half-line conditions.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -231,54 +230,43 @@ _BRANCHES: dict[tuple[Interval, Direction], tuple] = {
 }
 
 
-def _lookup_from_branches() -> dict[bool, tuple]:
-    """lambda > mu -> ((interval, branches), ...) in Interval order, branches
-    being the increasing then the decreasing branch of that ordering, each as
-    (name1, want1, name2, want2, verdict) with want +1 for ">=0" and -1 for
-    "<=0".  Every verdict, fired conditions included, is built here once."""
-    want = {">=0": 1, "<=0": -1}
-    lookup: dict[bool, dict[Interval, list]] = {True: {}, False: {}}
-    for (interval, direction), branches in _BRANCHES.items():
-        for ordering, conds in branches:
-            gt = ordering == "gt"
-            (n1, s1), (n2, s2) = conds
-            fired = (("lambda>mu" if gt else "lambda<mu", ""),) + conds
-            lookup[gt].setdefault(interval, []).append(
-                (n1, want[s1], n2, want[s2], MonotonicityVerdict(direction, fired))
-            )
-    return {gt: tuple(by_interval.items()) for gt, by_interval in lookup.items()}
-
-
-_LOOKUP = _lookup_from_branches()
 _NON_MONOTONIC = MonotonicityVerdict(Direction.NON_MONOTONIC)
-# the invariants each ordering's branches test, in first-tested order
-_TESTED = {
-    gt: tuple(dict.fromkeys(b[i] for _, branches in table for b in branches for i in (0, 2)))
-    for gt, table in _LOOKUP.items()
-}
 
 
-def _decide(lam_gt_mu: bool, signs: tuple) -> tuple[dict, tuple[str, ...]]:
-    """The monotonicity verdict per interval and the tested invariants whose
-    band sign is 0, for the ordering and the band signs of A..E (a tuple,
-    each -1, 0 or +1).  A NaN sign fails every sign condition and is no
-    hit.  The caller must not change the returned dict: ``_decision`` hands
-    the same one out for every call with the same key."""
-    named = dict(zip("ABCDE", signs))
-    mono = {}
-    for interval, branches in _LOOKUP[lam_gt_mu]:
-        for n1, w1, n2, w2, verdict in branches:
-            if named[n1] * w1 >= 0 and named[n2] * w2 >= 0:
-                break
-        else:
-            verdict = _NON_MONOTONIC
-        mono[interval] = verdict
-    return mono, tuple(name for name in _TESTED[lam_gt_mu] if named[name] == 0)
+def _build_decisions() -> dict[tuple[bool, tuple[int, ...]], tuple[dict, tuple[str, ...]]]:
+    """(lambda > mu, band signs of A..E) -> (verdict per interval, tested
+    invariants whose band sign is 0), for both orderings and all 3^5 sign
+    tuples.  On each interval the verdict is the first branch of the
+    ordering whose two conditions hold, increasing before decreasing, and
+    non-monotonic if none does.  Each branch's verdict, fired conditions
+    included, is built once and shared by every key it decides."""
+    want = {">=0": 1, "<=0": -1}
+    branches: dict[tuple[bool, Interval], list] = {}
+    for (interval, direction), pair in _BRANCHES.items():
+        for ordering, conds in pair:
+            gt = ordering == "gt"
+            fired = (("lambda>mu" if gt else "lambda<mu", ""),) + conds
+            branches.setdefault((gt, interval), []).append(
+                ([(n, want[s]) for n, s in conds], MonotonicityVerdict(direction, fired)))
+    table = {}
+    for gt in (True, False):
+        # the invariants this ordering's branches test, in first-tested order
+        tested = tuple(dict.fromkeys(
+            n for iv in Interval for conds, _ in branches[gt, iv] for n, _ in conds))
+        for signs in itertools.product((-1, 0, 1), repeat=5):
+            named = dict(zip("ABCDE", signs))
+            mono = {
+                iv: next((v for conds, v in branches[gt, iv]
+                          if all(named[n] * w >= 0 for n, w in conds)), _NON_MONOTONIC)
+                for iv in Interval
+            }
+            table[gt, signs] = (mono, tuple(n for n in tested if named[n] == 0))
+    return table
 
 
-# _decide memoized: classify_H keeps NaN signs out of it, so a key is one of
-# 2 orderings and 3^5 sign tuples, and the cache holds at most 486 entries
-_decision = functools.cache(_decide)
+# no caller may change an entry's verdict dict: every call with the same key
+# reads the same one
+_DECISIONS = _build_decisions()
 
 
 def classify_log_convexity_H(params: HParams) -> ConvexityVerdict:
@@ -323,12 +311,10 @@ def classify_H(params: HParams) -> ClassificationReport:
     band, p2 = _band(params)
     a, b, l, m = params.as_tuple()
     qa, qb, ql, qm = a / p2, b / p2, l / p2, m / p2
-    # band sign: -1, 0 or +1, with 0 meaning -band <= x <= band; NaN stays
-    # NaN and so fails every sign condition, as the plain comparisons do
-    signs = tuple([(x > band) - (x < -band) if x == x else x for x in _invariants(qa, qb, ql, qm)])
-    # a NaN is a new cache key at every call: decide it without the memo
-    decide = _decision if math.isfinite(sum(signs)) else _decide
-    mono, hits = decide(l > m, signs)
+    # band sign: -1, 0 or +1, with 0 meaning -band <= x <= band; each |q| is
+    # below 2, so every scaled invariant is finite
+    signs = tuple([(x > band) - (x < -band) for x in _invariants(qa, qb, ql, qm)])
+    mono, hits = _DECISIONS[l > m, signs]
     convexity = _convexity(qa - qb, ql - qm, params)
     if convexity.kind is ConvexityKind.LOG_AFFINE:
         hits += ("ratio",)
@@ -352,13 +338,13 @@ def classify_P(params: PParams) -> ClassificationReport:
 # invariants A, C, E are Q's own q1, q2, q3
 
 _Q_NAMES = {"A": "q1", "C": "q2", "E": "q3", "ratio": "ratio"}
-# keyed by the id of each H verdict _decide hands out, which _LOOKUP and
-# _NON_MONOTONIC keep alive: an id is hashed in C, a frozen dataclass in
-# Python
+# keyed by the id of each H verdict _DECISIONS holds, which keeps them alive:
+# an id is hashed in C, a frozen dataclass in Python
 _Q_VERDICTS = {
     id(v): MonotonicityVerdict(
         v.direction, tuple((_Q_NAMES[n], s) for n, s in v.fired_conditions[1:]))
-    for v in [_NON_MONOTONIC] + [b[4] for _, branches in _LOOKUP[True] for b in branches]
+    for (gt, _), (mono, _) in _DECISIONS.items() if gt
+    for v in mono.values()
 }
 
 

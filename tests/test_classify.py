@@ -24,7 +24,6 @@ from expratio import (
 )
 from expratio import classify
 from expratio.classify import zero_band_width
-from expratio.oracle import cross_validate
 
 from conftest import family_draws, random_hparams, same_bits
 
@@ -449,14 +448,13 @@ class TestDecisionTable:
 
 
 # ---------------------------------------------------------------------------
-# the memoized decision
+# the decision table
 
 
 def _direct(lam_gt_mu, signs):
     """The verdict per interval and the tested invariants on the band, read
     straight from classify._BRANCHES: the first branch of the ordering whose
-    two conditions hold, increasing before decreasing; a NaN sign fails
-    every condition."""
+    two conditions hold, increasing before decreasing."""
     named = dict(zip("ABCDE", signs))
     ordering = "gt" if lam_gt_mu else "lt"
     holds = {">=0": lambda x: x >= 0, "<=0": lambda x: x <= 0}
@@ -479,31 +477,46 @@ def _as_pairs(mono):
     return {iv: (v.direction, v.fired_conditions) for iv, v in mono.items()}
 
 
-def test_memoized_decision_matches_branches():
-    # every key the memo can hold: both orderings, all 3^5 sign tuples
+def test_decision_table_matches_branches():
+    # every key: both orderings, all 3^5 sign tuples, and no other key
     for lam_gt_mu in (True, False):
         for signs in itertools.product((-1, 0, 1), repeat=5):
-            mono, hits = classify._decision(lam_gt_mu, signs)
+            mono, hits = classify._DECISIONS[lam_gt_mu, signs]
             want_mono, want_hits = _direct(lam_gt_mu, signs)
             assert list(mono) == list(Interval)
             assert _as_pairs(mono) == want_mono, (lam_gt_mu, signs)
             assert hits == want_hits, (lam_gt_mu, signs)
+    assert len(classify._DECISIONS) == 2 * 3**5
 
 
-@pytest.mark.parametrize("at", range(5))
-def test_nan_sign_not_memoized(monkeypatch, at):
-    # a NaN invariant keeps a NaN band sign: it fails every condition, is no
-    # hit, and is decided without the memo, whose key would be new each time
-    values = [1.0, -1.0, 0.0, 1.0, 0.0]
-    values[at] = math.nan
-    monkeypatch.setattr(classify, "_invariants", lambda a, b, l, m: tuple(values))
-    for p in (HParams(3, 1, 2, 0), HParams(3, 1, 0, 2)):
-        before = classify._decision.cache_info()
-        report = classify_H(p)
-        assert classify._decision.cache_info() == before
-        want_mono, want_hits = _direct(p.lam > p.mu, values)
-        assert _as_pairs(report.monotonicity) == want_mono, (at, p)
-        assert tuple(h for h in report.zero_band_hits if h != "ratio") == want_hits
+class _KeyRecorder(dict):
+    """The decision table, recording every key it is read with."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.keys_read = []
+
+    def __getitem__(self, key):
+        self.keys_read.append(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("p", [
+    HParams(1.7e308, -1.7e308, 1e308, 0),
+    HParams(1e200, 0, 1, 2),
+    HParams(5e-324, 0, 1e-323, 2e-323),
+    HParams(1e-310, -3e-310, 2e-311, 0),
+    HParams(-4e-320, 7e-321, 0, 3e-322),
+], ids=["top-of-range", "1e200", "smallest-subnormal", "subnormal", "subnormal-mixed"])
+def test_band_signs_are_unit(monkeypatch, p):
+    # every scaled invariant is finite, so every band sign is -1, 0 or +1
+    # and every key classify_H reads is one of the table's
+    table = _KeyRecorder(classify._DECISIONS)
+    monkeypatch.setattr(classify, "_DECISIONS", table)
+    classify_H(p)
+    [(lam_gt_mu, signs)] = table.keys_read
+    assert lam_gt_mu is (p.lam > p.mu)
+    assert len(signs) == 5 and all(type(s) is int and s in (-1, 0, 1) for s in signs), signs
 
 
 def test_reports_do_not_share_verdicts():
@@ -513,9 +526,3 @@ def test_reports_do_not_share_verdicts():
     first.monotonicity[Interval.WHOLE_LINE] = None
     first.monotonicity.pop(Interval.POSITIVE_HALF_LINE)
     assert classify_H(p).monotonicity == want
-
-
-def test_memo_bounded_after_verify():
-    cross_validate(2000, 7)
-    info = classify._decision.cache_info()
-    assert 0 < info.currsize <= 2 * 3**5, info

@@ -231,6 +231,20 @@ class TestOverflowingDifferences:
             assert abs(v - want) <= bd, (t, v, want, bd)
             assert abs(v - want) <= 1e-14 * abs(want), (t, v, want)
 
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("step", [None, 1e-3], ids=["default-step", "step-1e-3"])
+    def test_finite_differences(self, order, step):
+        # the FD kernel evaluates the set at p/2 and 2t with the step doubled
+        # and scales back by 2^order, so every estimate is finite and agrees
+        # with the exact log-derivative within its own error estimate
+        ts = np.array([1.0, -2.0, 0.5, -30.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est, err = numeric_log_derivative(_WIDE, ts, order, step)
+            want, _ = _kernels_py.log_deriv_h(*_WIDE.as_tuple(), ts, order)
+        assert np.all(np.isfinite(est)) and np.all(np.isfinite(err)), (est, err)
+        assert np.all(np.abs(est - want) <= err + 1e-12 * np.abs(want)), (est, err, want)
+
     def test_chunk_rows_keep_their_bits(self):
         # in a chunk, a row whose differences overflow is its one-row call,
         # and every other row keeps the bits of a chunk without it
