@@ -21,7 +21,8 @@ d = alpha - beta, u = |d t| and e(u) = ln(sinh(u/2)/(u/2)), even, e(0) = 0,
     ln|(e^{alpha t} - e^{beta t})/t| = ln|d| + (alpha + beta) t / 2 + e(u).
 
 ``log_abs_quot`` evaluates it (e from its series below u = 1, as
-u/2 - ln u + ln(1 - e^{-u}) above), regular at t = 0 and at subnormal d t;
+u/2 - ln u + ln(1 - e^{-u}) above), regular at t = 0 and at subnormal d t,
+each element on its own branch at any size of t, one point included;
 ln|H| is (beta - mu) t plus a difference of two such terms with the common
 shift taken out, G and F use one each.
 ``log_derivs_h`` differentiates it:
@@ -135,14 +136,15 @@ def log_abs_quot(alpha, beta, t):
     """ln|(e^{alpha t} - e^{beta t})/t| elementwise (alpha != beta), equal
     to ln|alpha - beta| at t = 0."""
     t = np.asarray(t, dtype=np.float64)
-    d = alpha - beta
+    out = np.empty(t.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = np.abs(d * t)
-        small = u < 1.0
-        if t.size == 1:
-            # one point: evaluate only the branch it takes
-            return _quot_near(alpha, beta, t, u) if small else _quot_far(alpha, beta, t, u)
-        return np.where(small, _quot_near(alpha, beta, t, u), _quot_far(alpha, beta, t, u))
+        u = np.abs((alpha - beta) * t)
+        # each element on its own branch, scattered into one output
+        near = u < 1.0
+        out[near] = _quot_near(alpha, beta, t[near], u[near])
+        near = ~near
+        out[near] = _quot_far(alpha, beta, t[near], u[near])
+    return out
 
 
 def _quot_near(alpha, beta, t, u):
@@ -206,18 +208,15 @@ def _log_abs_h(alpha, beta, lam, mu, t):
     # the common shift e^{beta t} / e^{mu t} is taken out exactly, so the
     # rounding error scales with |(alpha - beta) t|, not with |alpha t|
     with np.errstate(invalid="ignore", over="ignore"):
-        out = ((beta - mu) * t + log_abs_quot(alpha - beta, 0.0, t)
-               - log_abs_quot(lam - mu, 0.0, t))
-        scale = max(abs(alpha - beta), abs(lam - mu), abs(beta - mu))
-        # the largest |t|; one point needs no array reduction
-        top = abs(t.item()) if t.size == 1 else float(np.abs(t).max(initial=0.0))
-        if math.isinf(top * scale):
-            # some product above overflowed, and inf - inf is NaN; there
-            # ln|H| = max(alpha t, beta t) - max(lam t, mu t), taken as t
-            # times a difference of exponents so that it cannot overflow
-            far = t * np.where(t > 0.0, max(alpha, beta) - max(lam, mu),
-                               min(alpha, beta) - min(lam, mu))
-            out = np.where(np.isnan(out), far, out)
+        out = np.asarray((beta - mu) * t + log_abs_quot(alpha - beta, 0.0, t)
+                         - log_abs_quot(lam - mu, 0.0, t))
+        # the sum is NaN exactly where a product above overflowed (inf - inf);
+        # there ln|H| = max(alpha t, beta t) - max(lam t, mu t), taken as t
+        # times a difference of exponents so that it cannot overflow
+        nan = np.isnan(out)
+        tn = t[nan]
+        out[nan] = tn * np.where(tn > 0.0, max(alpha, beta) - max(lam, mu),
+                                 min(alpha, beta) - min(lam, mu))
     return out
 
 
@@ -403,12 +402,8 @@ def _log_derivs_h(params, t, orders):
     rows = params.reshape(4, -1, 1)
     a, b, l, m = rows
     n = a.shape[0]
-    # e^(k) has the parity of k: evaluate once per distinct |t|, then
-    # gather; one point is its own distinct |t|
-    if ts.size == 1:
-        mags_t, at = np.abs(ts), slice(None)
-    else:
-        mags_t, at = np.unique(np.abs(ts), return_inverse=True)
+    # e^(k) has the parity of k: evaluate once per distinct |t|, then gather
+    mags_t, at = np.unique(np.abs(ts), return_inverse=True)
     d = np.abs(rows[0::2] - rows[1::2]).ravel()  # |alpha - beta| rows, then |lam - mu|
     # |d|^k and 1/|t|^k overflow where the value does, and 1/|t| is taken
     # at t = 0 before the closed forms' elements are picked
@@ -429,10 +424,12 @@ def _log_derivs_h(params, t, orders):
             value *= sgn
             # u = 0 there, and 0 * |d|^k is NaN once |d|^k overflows
             value[:, zero] = size[:, zero] = 0.0
+        # scaled first, so that it overflows only where the value does; a
+        # power of two commutes with rounding unless the result is subnormal
+        size *= _BOUND_ULPS
         if k == 1:
             value += 0.5 * ((a + b) - (l + m))
-            size += 0.5 * (np.abs(a) + np.abs(b) + np.abs(l) + np.abs(m))
-        size *= _BOUND_ULPS
+            size += (0.5 * _BOUND_ULPS) * (np.abs(a) + np.abs(b) + np.abs(l) + np.abs(m))
         out[k] = (value.reshape(shape), size.reshape(shape))
     return out
 

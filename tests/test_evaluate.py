@@ -397,10 +397,10 @@ class TestReduction:
 
 
 def test_one_point_calls_match_grid_bits(rng):
-    # a one-point call picks its branch in Python and skips the grid's
-    # reductions; each value must still be the bits of the same point in a
-    # many-point call: t = 0, subnormal t, both sides of the near/far
-    # switch at u = |d t| = 1, and H(2, 0, 3, 0) where 3t overflows
+    # a one-point call takes the grid's code path, each element on its own
+    # branch; each value must be the bits of the same point in a many-point
+    # call: t = 0, subnormal t, both sides of the near/far switch at
+    # u = |d t| = 1, and H(2, 0, 3, 0) where 3t overflows
     ts = np.concatenate([[0.0, -0.0, 5e-324, -1e-310, 2.2e-308, 1e308, -1e308],
                          rng.uniform(-1, 1, 40) * 10.0 ** rng.uniform(-12, 3, 40)])
     rows = [p.as_tuple() for p in random_hparams(rng, 6)] + [(2.0, 0.0, 3.0, 0.0),

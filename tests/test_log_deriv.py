@@ -121,6 +121,14 @@ def test_odd_orders_zero_at_origin_past_overflow(d):
         assert np.all(out[1][0] == 0.5 * (d - 1.0)) and np.all(np.isfinite(out[1][1]))
 
 
+def test_order_1_bound_finite_where_magnitude_sum_overflows():
+    # neither a difference nor |alpha| + |beta| + |lam| + |mu| overflows,
+    # but the order-1 magnitudes plus half that sum do unless scaled first;
+    # a RuntimeWarning fails the test
+    _, bound = log_deriv_h(1e308, 0.0, 1.0, 0.0, np.array([0.5, 1.0, -3.0]), 1)
+    assert np.all(np.isfinite(bound)) and np.all(bound > 0.0), bound
+
+
 def test_exact_zeros():
     rng = np.random.default_rng(3)
     for p in random_hparams(rng, 20):

@@ -737,8 +737,10 @@ _BLOCK = _kernels_py._BLOCK
 # at large t, a huge difference, a ratio that underflows, a huge common shift
 _BLOCK_PARAMS = [HParams(2, 0, 3, 0), HParams(1e200, 0, 1, 0), HParams(1e-300, 0, 1e300, 0),
                  HParams(700, -700, 1, 0), HParams(1.3, -0.4, 2.1, 0.2)]
-# differences that overflow the double range, for the value kernels
-_OVERFLOW_PARAMS = [HParams(1e308, -1e308, 1.5e308, -1.5e308)]
+# sets where a product d t or (beta - mu) t overflows on the grid, so that
+# the value kernels patch NaN elements, or where a difference overflows
+_OVERFLOW_PARAMS = [HParams(1e308, -1e308, 1.5e308, -1.5e308), HParams(2, 0, 3, 0),
+                    HParams(1000.5, 1000, 1001, 1000), HParams(1e308, -1e308, 1, 0)]
 
 
 def _block_kernels():
