@@ -13,6 +13,8 @@ Called directly, as ``_kernels_py.<name>``:
     h_sign(alpha, beta, lam, mu)                  -> sign of H, +-1.0
     log_deriv_h(alpha, beta, lam, mu, t, order)   -> (value, bound)
     log_derivs_h(alpha, beta, lam, mu, t, orders) -> {order: (value, bound)}
+    log_derivs_mag(alpha, beta, lam, mu, s, orders)
+                                -> {order: (value at +s, value at -s, bound)}
 
 Every value and exact derivative comes from one expression for the title
 function (e^{alpha t} - e^{beta t})/t, of which H is a quotient: with
@@ -25,7 +27,7 @@ u/2 - ln u + ln(1 - e^{-u}) above), regular at t = 0 and at subnormal d t,
 each element on its own branch at any size of t, one point included;
 ln|H| is (beta - mu) t plus a difference of two such terms with the common
 shift taken out, G and F use one each.
-``log_derivs_h`` differentiates it:
+``log_derivs_mag`` differentiates it at +s and -s for magnitudes s >= 0:
 
     (ln|H|)^(k)(t) = sgn(t)^k (|d1|^k e^(k)(|d1 t|) - |d2|^k e^(k)(|d2 t|))
                      [+ (alpha + beta - lam - mu)/2, k = 1]
@@ -34,10 +36,13 @@ since e^(k) has the parity of k.  e^(k)(u) comes from its Bernoulli series
 for u <= 1 and from closed forms in q = e^{-u} beyond, so the value is
 regular at t = 0, odd orders vanish there exactly, and |d1| = |d2| (ratio
 +-1, log-affine) gives exactly 0 at every order >= 2.  By that parity the
-e^(k) terms are evaluated once per distinct |t| and gathered back to t.
-alpha, beta, lam and mu may also be 1-D arrays of one length, one row per
-parameter set: the oracle scans many draws in one call, and each row is
-the same bits as that set's scalar call.
+e^(k) terms are evaluated once per s, and the value at -s is formed from
+the one at +s: c - D at order 1, D * (-1.0) at order 3, the same array at
+even orders.  The oracle judges its scans on those arrays as they are;
+``log_derivs_h`` is ``log_derivs_mag`` on the distinct |t|, gathered back
+to t by the sign of t.  alpha, beta, lam and mu may also be 1-D arrays of
+one length, one row per parameter set: the oracle scans many draws in one
+call, and each row is the same bits as that set's scalar call.
 
 Each (|d|, |t|) element is evaluated on its own branch only: the series
 elements and the closed-form elements are compressed to 1-D arrays,
@@ -48,7 +53,7 @@ arithmetic: if its temporaries outgrow what glibc's malloc keeps between
 passes (twice the largest block it has unmapped, so twice the output
 array), every pass gives its pages back and faults them in again.  So the
 output array is allocated first, temporaries are freed once read, and
-``log_derivs_h`` combines and gathers after the output is freed.
+``log_derivs_mag`` combines the two halves after the output is freed.
 
 The finite-difference estimator, the independent check of those derivatives,
 keeps a split of its own (ln|d t| + d t / 2 + sinh form, or
@@ -73,10 +78,11 @@ Once alpha - beta, lam - mu or beta - mu overflows, ``log_abs_h`` and
 halved differences do not overflow; so t = 0 reads (alpha - beta)/(lam - mu)
 from them.  ``fd_log_deriv`` halves the same way, with any explicit step
 doubled, and scales the estimate and its error by 2^order.
-``log_derivs_h`` forms |alpha| + |beta| + |lam| + |mu| as well, which
+``log_derivs_mag`` forms |alpha| + |beta| + |lam| + |mu| as well, which
 still overflows at p/2, so a parameter set for which that sum overflows is
-evaluated at p/p2 and p2 t, p2 the power of two of its largest |p|, and
-the k-th value and bound are scaled back by p2^k.
+evaluated at p/p2 and p2 s, p2 the power of two of its largest |p|, and
+the k-th values and bound are scaled back by p2^k.  That split of the rows
+is made there alone; ``log_derivs_h`` inherits it.
 
 ``log_abs_h``, ``eval_h`` and ``fd_log_deriv`` are elementwise and run a
 large t in blocks of ``_BLOCK`` points, each block's results written into
@@ -340,97 +346,124 @@ def _e_derivs(d, s, orders):
     return out.reshape(shape)
 
 
-def log_derivs_h(alpha, beta, lam, mu, t, orders):
-    """Exact derivatives of ln|H| at t for several orders (each in 1..4),
-    sharing the transcendental terms.
+def log_derivs_mag(alpha, beta, lam, mu, s, orders):
+    """Exact derivatives of ln|H| at t = +s and t = -s for several orders
+    (each in 1..4), for a 1-D array s of magnitudes s >= 0, sharing the
+    transcendental terms.
 
-    Returns {order: (value, bound)}, arrays shaped like t, or (n, *t.shape)
-    when the four parameters are 1-D arrays of n parameter sets.  bound is a
-    roundoff floor, a few ulps of the magnitudes the value is formed from
-    (for order 1 including (|alpha| + |beta| + |lam| + |mu|)/2), not an
-    error estimate of any discretization: the value has none.  Values are
-    finite at any |d| where |d t| > 1; below, the series is scaled by
-    |d|^k and overflows with it, as the value does, except that odd orders
-    read exactly 0 (value and bound) at t = 0.  The returned arrays are the
-    caller's to change in place.
+    Returns {order: (plus, minus, bound)}: the value at +s, the value at -s
+    and the bound of both, arrays shaped like s, or (n, s.size) when the
+    four parameters are 1-D arrays of n parameter sets.  The e^(k) terms
+    have the parity of k, so with D their difference at s and c = (alpha +
+    beta - lam - mu)/2, order 1 reads D + c and c - D, order 3 D and
+    D * (-1.0) (multiplied, so that a NaN keeps its bits), and an even
+    order's minus is its plus, the same array.  Odd orders read 0 at s = 0
+    before c is added.  bound is a roundoff floor, a few ulps of the
+    magnitudes the value is formed from (for order 1 including (|alpha| +
+    |beta| + |lam| + |mu|)/2), not an error estimate of any
+    discretization: the value has none.  Values are finite at any |d|
+    where |d| s > 1; below, the series is scaled by |d|^k and overflows
+    with it, as the value does, except at odd orders at s = 0.  The
+    returned arrays are the caller's to change in place.
 
     A parameter set whose |alpha| + |beta| + |lam| + |mu| overflows (as it
     does once alpha - beta, lam - mu or beta - mu overflows) is evaluated
-    at q = p/p2 and p2 t, p2 being the power of two of its largest |p|, and
-    its k-th value and bound are scaled by p2^k, since (ln|H_p|)^(k)(t) =
+    at q = p/p2 and p2 s, p2 being the power of two of its largest |p|, and
+    its k-th values and bound are scaled by p2^k, since (ln|H_p|)^(k)(t) =
     p2^k (ln|H_q|)^(k)(p2 t); nothing formed from q overflows.  Every other
-    set is evaluated as it is.  Past |t| = DBL_MAX/p2, p2 t reads +-inf and
-    the closed forms give their limits there.
+    set is evaluated as it is, all of them in one pass, so a row has the
+    same bits alone and in any chunk.  Past s = DBL_MAX/p2, p2 s reads inf
+    and the closed forms give their limits there.
     """
     if not orders or any(k not in (1, 2, 3, 4) for k in orders):
         raise ValueError(f"orders must be in 1..4, got {orders}")
-    t = np.asarray(t, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
     params = np.array([alpha, beta, lam, mu], dtype=np.float64)
+    rows = params.reshape(4, -1)
     with np.errstate(over="ignore"):
-        a, b, l, m = np.abs(params)
+        a, b, l, m = np.abs(rows)
         wide = np.isinf(a + b + l + m)
     if not wide.any():
-        return _log_derivs_h(params, t, orders)
+        out = _log_derivs_mag(rows, s, orders)
+    else:
+        out = {k: tuple(np.empty((wide.size, s.size)) for _ in range(3)) for k in orders}
+        parts = [(~wide, _log_derivs_mag(rows[:, ~wide], s, orders))]
+        parts += [(i, _log_derivs_rescaled(rows[:, i:i + 1], s, orders))
+                  for i in np.flatnonzero(wide)]
+        for sel, part in parts:
+            for k, arrays in part.items():
+                for whole, got in zip(out[k], arrays):
+                    whole[sel] = got
+        out = {k: (plus, minus if k % 2 else plus, bound)
+               for k, (plus, minus, bound) in out.items()}
     if params.ndim == 1:
-        return _log_derivs_rescaled(params, t, orders)
-    # the other rows together, each such row on its own: a row has the same
-    # bits alone and in any chunk
-    out = {k: (np.empty(wide.shape + t.shape), np.empty(wide.shape + t.shape)) for k in orders}
-    parts = [(~wide, _log_derivs_h(params[:, ~wide], t, orders))]
-    parts += [(i, _log_derivs_rescaled(params[:, i], t, orders)) for i in np.flatnonzero(wide)]
-    for rows, part in parts:
-        for k, (value, bound) in part.items():
-            out[k][0][rows] = value
-            out[k][1][rows] = bound
+        out = {k: tuple(x[0] for x in arrays) for k, arrays in out.items()}
     return out
 
 
-def _log_derivs_rescaled(params, t, orders):
-    """log_derivs_h of one parameter set evaluated at p/p2 and p2 t, the
-    k-th value and bound scaled back by p2^k (exact, saturating to +-inf)."""
-    e = math.frexp(float(np.abs(params).max()))[1] - 1
+def _log_derivs_rescaled(rows, s, orders):
+    """_log_derivs_mag of one parameter set evaluated at p/p2 and p2 s, the
+    k-th values and bound scaled back by p2^k (exact, saturating to +-inf)."""
+    e = math.frexp(float(np.abs(rows).max()))[1] - 1
     with np.errstate(over="ignore"):
-        out = _log_derivs_h(np.ldexp(params, -e), np.ldexp(t, e), orders)
-        return {k: (np.ldexp(value, k * e), np.ldexp(bound, k * e))
-                for k, (value, bound) in out.items()}
+        out = _log_derivs_mag(np.ldexp(rows, -e), np.ldexp(s, e), orders)
+        return {k: tuple(np.ldexp(x, k * e) for x in arrays) for k, arrays in out.items()}
 
 
-def _log_derivs_h(params, t, orders):
-    """log_derivs_h of float64 parameters, (4,) or (4, n), and a float64 t."""
-    ts = t.ravel()
-    shape = params.shape[1:] + t.shape
-    rows = params.reshape(4, -1, 1)
-    a, b, l, m = rows
+def _log_derivs_mag(rows, s, orders):
+    """log_derivs_mag of float64 parameter rows, (4, n), and a float64 s."""
+    a, b, l, m = rows[:, :, None]
     n = a.shape[0]
-    # e^(k) has the parity of k: evaluate once per distinct |t|, then gather
-    mags_t, at = np.unique(np.abs(ts), return_inverse=True)
     d = np.abs(rows[0::2] - rows[1::2]).ravel()  # |alpha - beta| rows, then |lam - mu|
-    # |d|^k and 1/|t|^k overflow where the value does, and 1/|t| is taken
-    # at t = 0 before the closed forms' elements are picked
+    # |d|^k and 1/s^k overflow where the value does, and 1/s is taken at
+    # s = 0 before the closed forms' elements are picked
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vals, mags = _e_derivs(d, mags_t, orders)
-    # combine the two halves, free the pass's outputs, then gather to t
+        vals, mags = _e_derivs(d, s, orders)
+    # combine the two halves and free the pass's outputs
     diffs = vals[:, :n] - vals[:, n:]
     sizes = mags[:, :n] + mags[:, n:]
     del vals, mags
-    diffs = diffs[..., at]
-    sizes = sizes[..., at]
-    sgn = np.sign(ts)
-    zero = ts == 0.0
+    zero = s == 0.0
     out = {}
     for row, k in enumerate(orders):
         value, size = diffs[row], sizes[row]
         if k % 2:
-            value *= sgn
             # u = 0 there, and 0 * |d|^k is NaN once |d|^k overflows
             value[:, zero] = size[:, zero] = 0.0
         # scaled first, so that it overflows only where the value does; a
         # power of two commutes with rounding unless the result is subnormal
         size *= _BOUND_ULPS
         if k == 1:
-            value += 0.5 * ((a + b) - (l + m))
+            c = 0.5 * ((a + b) - (l + m))
+            minus = c - value
+            value += c
             size += (0.5 * _BOUND_ULPS) * (np.abs(a) + np.abs(b) + np.abs(l) + np.abs(m))
-        out[k] = (value.reshape(shape), size.reshape(shape))
+        else:
+            minus = value * -1.0 if k % 2 else value
+        out[k] = (value, minus, size)
+    return out
+
+
+def log_derivs_h(alpha, beta, lam, mu, t, orders):
+    """Exact derivatives of ln|H| at t for several orders (each in 1..4):
+    log_derivs_mag on the distinct |t|, gathered back to t by its sign.
+
+    Returns {order: (value, bound)}, arrays shaped like t, or (n, *t.shape)
+    when the four parameters are 1-D arrays of n parameter sets; t = 0
+    reads the value at +0.  The returned arrays are the caller's to change
+    in place.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    ts = t.ravel()
+    s, at = np.unique(np.abs(ts), return_inverse=True)
+    derivs = log_derivs_mag(alpha, beta, lam, mu, s, orders)
+    # column j of (plus, minus) side by side is +s_j, column s.size + j -s_j
+    at_t = np.where(ts < 0.0, at + s.size, at)
+    out = {}
+    for k, (plus, minus, bound) in derivs.items():
+        shape = plus.shape[:-1] + t.shape
+        value = np.concatenate((plus, minus), axis=-1)[..., at_t]
+        out[k] = (value.reshape(shape), bound[..., at].reshape(shape))
     return out
 
 

@@ -8,7 +8,7 @@ them and ``classify`` is evidence, not tautology.  The one reader of the
 ratio rule is ``four_log_sign_change_search``, which rejects log-affine
 input through ``classify_log_convexity_H`` before it searches.
 
-The scans read ``_kernels_py.log_derivs_h``, which writes the k-th
+The scans read ``_kernels_py.log_derivs_mag``, which writes the k-th
 log-derivative as d1^k phi^(k)(d1 t) - d2^k phi^(k)(d2 t) (+ beta - mu for
 k = 1) with phi(x) = ln((e^x - 1)/x): exact up to rounding, regular at
 t = 0, and returned with its roundoff floor.  A probe counts as a witness
@@ -26,18 +26,22 @@ claim (``_check_chunk``; ``_check_one`` is its one-draw case).
 ``cross_validate`` draws and checks 32 draws at a time.  ``_draw_params``
 takes a chunk's rows from the generator in blocks, the same bits as one
 row at a time, and ``_check_chunk`` is the only place that checks many
-draws: one ``log_derivs_h`` call (``_probes``) takes the chunk's
-parameters as arrays, one row per draw, and every claim of every draw is
-judged from (draws x claims) masks of where a confident rise or fall was
-seen.  The kernel evaluates each distinct |t| once (206 of the 411
-probes) and reads t < 0 by parity, each (|d|, |t|) element on its own
-branch only (series or closed forms), and ``_probes`` signs and cuts the
-kernel's arrays in place.  Its cost is mostly fixed per call, so a chunk
-pays it once for 32 draws.  A chunk's pass peaks near 1.2 MB, under what
-glibc's malloc keeps between passes (twice the kernel's 0.6 MB output
-array); a pass that outgrew it would give its pages back and fault them
-in again on every chunk.
-Every value is elementwise in its row, so a draw's values and outcome are
+draws.  One pass, a ``log_derivs_mag`` call (``_probes``), takes the
+chunk's parameters as arrays, one row per draw, and evaluates the
+probes' 206 distinct magnitudes s once, each (|d|, s) element on its own
+branch only (series or closed forms); it returns each order's values at
++s and at -s, formed by parity, and ``_probes`` signs and cuts them in
+place.  The judge (``_rise_fall``) reads every claim of every draw from
+those 206 columns, with no gather back to the 411 probes, into (draws x
+claims) masks of where a confident rise or fall was seen: an odd order
+reads +s on (0, inf) and -s on (-inf, 0), order 1 adds t = 0 on the whole
+line, and order 2 reads each s once.  The one-draw scans lay the same
+arrays out on an interval's probes (``_on``), so a contradiction's detail
+and the public scans read what the judge read.  The pass's cost is mostly
+fixed per call, so a chunk pays it once for 32 draws.  A chunk's pass
+peaks near 1.2 MB, under what glibc's malloc keeps between passes (twice
+the kernel's 0.6 MB output array); a pass that outgrew it would give its
+pages back and fault them in again on every chunk.  Every value is elementwise in its row, so a draw's values and outcome are
 the same bits alone and in any chunk.  An ``OracleVerdict`` is built only
 for a contradiction's detail and for the public one-draw scans
 (``grid_monotonicity_check``, ``grid_klog_sign_check``).
@@ -87,22 +91,25 @@ __all__ = [
 SIGN_MARGIN = 1e-8
 
 
-def _probe_window() -> tuple[np.ndarray, dict, dict]:
-    """Scan probes, each interval's slice of them, and each interval's
-    points, all read-only: the window on each side, the decades 1e-8..1e-4
-    below it, and t = 0 on the whole line."""
+def _probe_window() -> tuple[np.ndarray, dict, dict, np.ndarray]:
+    """Scan probes, each interval's slice of them, each interval's points
+    and the probes' distinct magnitudes (0 first), all read-only: the
+    window on each side, the decades 1e-8..1e-4 below it, and t = 0 on the
+    whole line."""
     # turning points close to the origin sit below the window when an
     # invariant is near 0; one probe per decade sees them
     mags = np.concatenate([10.0 ** np.arange(-8, -3), np.geomspace(1e-3, 1e3, 200)])
     ts = np.concatenate([-mags[::-1], [0.0], mags])
     ts.flags.writeable = False
     n = len(mags)
+    mags = np.concatenate([[0.0], mags])
+    mags.flags.writeable = False
     parts = {
         Interval.POSITIVE_HALF_LINE: slice(n + 1, None),
         Interval.NEGATIVE_HALF_LINE: slice(0, n),
         Interval.WHOLE_LINE: slice(None),
     }
-    return ts, parts, {iv: ts[s] for iv, s in parts.items()}
+    return ts, parts, {iv: ts[s] for iv, s in parts.items()}, mags
 
 
 class GridSpec:
@@ -110,9 +117,11 @@ class GridSpec:
     and one per decade from 1e-8 to 1e-4, mirrored to t < 0, with t = 0 on
     the whole line; 411 probes in all.  Every scan order and the four-log
     search read the same probes on an interval.  Built once at import, so
-    every instance hands out the same read-only arrays."""
+    every instance hands out the same read-only arrays.  The scans evaluate
+    the probes' 206 distinct magnitudes (``_mags``, 0 first) and read
+    t < 0 by parity."""
 
-    _ts, _parts, _points = _probe_window()
+    _ts, _parts, _points, _mags = _probe_window()
 
     def points(self, interval: Interval) -> np.ndarray:
         return self._points[interval]
@@ -202,10 +211,11 @@ def numeric_log_derivative(
 
 def _probes(
     draws: list[HParams], orders: tuple[int, ...]
-) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """The order-k log-derivatives on GridSpec's probes and their noise
-    cuts, {k: (probes, cuts)} with one row per draw, from one kernel pass for
-    all draws and orders.
+) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The order-k log-derivatives at +s and -s for GridSpec's probe
+    magnitudes s (0 first) and their noise cuts, {k: (plus, minus, cuts)}
+    with one row per draw, from one kernel pass for all draws and orders.
+    An even order's minus is its plus.
 
     Order 1 is signed as sign(H) * (ln|H|)', the derivative of
     sign(H) * ln|H|, which is monotone in t exactly when H is, because
@@ -213,22 +223,35 @@ def _probes(
     witness beyond its cut, SIGN_MARGIN plus the kernel's roundoff floor.
     """
     a, b, l, m = np.array([p.as_tuple() for p in draws]).T
-    derivs = _kernels_py.log_derivs_h(a, b, l, m, GridSpec._ts, orders)
+    derivs = _kernels_py.log_derivs_mag(a, b, l, m, GridSpec._mags, orders)
     # the kernel's arrays are this call's own: sign and cut them in place
-    for k, (value, bound) in derivs.items():
+    for k, (plus, minus, bound) in derivs.items():
         if k == 1:
             # h_sign of every row at once
-            value *= np.where((a > b) == (l > m), 1.0, -1.0)[:, None]
+            sign = np.where((a > b) == (l > m), 1.0, -1.0)[:, None]
+            plus *= sign
+            minus *= sign
         bound += SIGN_MARGIN
     return derivs
+
+
+def _on(interval: Interval, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """One draw's row of values at +s and -s laid out on the interval's
+    probes, in GridSpec's order: +s on (0, inf) and -s on (-inf, 0), each
+    at s > 0, and the whole line both of them with s = 0 between."""
+    if interval is Interval.POSITIVE_HALF_LINE:
+        return plus[1:]
+    if interval is Interval.NEGATIVE_HALF_LINE:
+        return minus[:0:-1]
+    return np.concatenate((minus[:0:-1], plus))
 
 
 def _scan(params: HParams, k: int, interval: Interval) -> OracleVerdict:
     """Sign scan of the order-k log-derivative of one draw over GridSpec's
     probes on the interval; every order reads the same probes there."""
-    probes, cuts = _probes([params], (k,))[k]
-    s = GridSpec._parts[interval]
-    return _verdict(GridSpec._ts[s], probes[0, s], cuts[0, s])
+    plus, minus, cuts = _probes([params], (k,))[k]
+    return _verdict(GridSpec._points[interval], _on(interval, plus[0], minus[0]),
+                    _on(interval, cuts[0], cuts[0]))
 
 
 def grid_monotonicity_check(params: HParams, interval: Interval) -> OracleVerdict:
@@ -370,6 +393,8 @@ _CHECKS = tuple((1, iv, f"monotonicity {iv.value}") for iv in Interval) + (
 # the intervals in Interval order: iterating the Enum class runs a Python
 # generator, once per draw here
 _INTERVALS = tuple(Interval)
+_POS, _NEG, _WHOLE = (Interval.POSITIVE_HALF_LINE, Interval.NEGATIVE_HALF_LINE,
+                      Interval.WHOLE_LINE)
 
 
 def _claimed(report) -> list:
@@ -377,6 +402,35 @@ def _claimed(report) -> list:
     mono = report.monotonicity
     third = report.third_order.kind
     return [mono[iv].direction for iv in _INTERVALS] + [report.convexity.kind, third, third]
+
+
+def _rise_fall(draws: list[HParams]) -> tuple[np.ndarray, np.ndarray]:
+    """(draws x _CHECKS) masks of whether any probe of each claim's scan
+    is a confident rise, and whether any is a confident fall, from one
+    _probes pass on the 206 magnitudes.
+
+    An odd order reads its +s values on (0, inf) and its -s values on
+    (-inf, 0), at s > 0; order 1 on the whole line reads both and s = 0.
+    Order 2 is even, so its whole line is every s once.
+    """
+    probes = _probes(draws, (1, 2, 3))
+    rise, fall = {}, {}
+    for k in (1, 3):
+        plus, minus, cuts = probes[k]
+        below = -cuts
+        for interval, values in ((_POS, plus), (_NEG, minus)):
+            # whole rows compare at a third of the cost of their s > 0 views
+            up, dn = values > cuts, values < below
+            rise[k, interval] = up[:, 1:].any(axis=1)
+            fall[k, interval] = dn[:, 1:].any(axis=1)
+    plus, _, cuts = probes[1]
+    rise[1, _WHOLE] = rise[1, _POS] | rise[1, _NEG] | (plus[:, 0] > cuts[:, 0])
+    fall[1, _WHOLE] = fall[1, _POS] | fall[1, _NEG] | (plus[:, 0] < -cuts[:, 0])
+    plus, _, cuts = probes[2]
+    rise[2, _WHOLE] = (plus > cuts).any(axis=1)
+    fall[2, _WHOLE] = (plus < -cuts).any(axis=1)
+    return (np.column_stack([rise[k, iv] for k, iv, _ in _CHECKS]),
+            np.column_stack([fall[k, iv] for k, iv, _ in _CHECKS]))
 
 
 def _check_chunk(draws: list[HParams]) -> list[tuple[str, dict | None]]:
@@ -393,19 +447,15 @@ def _check_chunk(draws: list[HParams]) -> list[tuple[str, dict | None]]:
 
     The claims are judged from (draws x claims) masks: the claimed signs
     (NaN where no sign is claimed) and whether any probe of the claim's
-    scan rises or falls.  Only a contradiction builds an OracleVerdict,
-    for the first contradicted claim of its draw, from a one-draw scan.
+    scan rises or falls (``_rise_fall``).  Only a contradiction builds an
+    OracleVerdict, for the first contradicted claim of its draw, from a
+    one-draw scan.
     """
     reports = [classify_H(p) for p in draws]
     claimed = [_claimed(report) for report in reports]
     signs = np.array([[_SIGNS.get(v, np.nan) for v in row] for row in claimed])
     signs[:, -1] *= -1  # the third-order sign on (-inf, 0)
-    probes = _probes(draws, (1, 2, 3))
-    parts = GridSpec._parts
-    up = {k: value > cuts for k, (value, cuts) in probes.items()}
-    dn = {k: value < -cuts for k, (value, cuts) in probes.items()}
-    rise = np.column_stack([up[k][:, parts[iv]].any(axis=1) for k, iv, _ in _CHECKS])
-    fall = np.column_stack([dn[k][:, parts[iv]].any(axis=1) for k, iv, _ in _CHECKS])
+    rise, fall = _rise_fall(draws)
     pos, neg = signs > 0, signs < 0
     contradicted = pos & fall | neg & rise | (signs == 0) & ~(rise & fall)
     unconfirmed = pos & ~rise | neg & ~fall

@@ -123,6 +123,39 @@ def family_draws(family: str, n: int, seed: int) -> list[HParams]:
     return out
 
 
+# the distances from the boundary that the near-boundary families take
+NEAR_EPS = (1e-5, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 3e-12, -1e-9)
+
+
+def near_boundary_draws(family: str, eps: float, n: int, seed: int) -> list[HParams]:
+    """n exponent quadruples a distance eps off one monotonicity boundary:
+    A = eps (mu = alpha + beta - lambda - eps), C (lambda = max(alpha, beta)
+    - eps) or E (mu = min(alpha, beta) - eps), C and E with lambda > mu.
+    Every pairwise gap is at least 0.05 but the one the boundary sets (C:
+    lambda and max(alpha, beta); E: mu and min(alpha, beta))."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        a, b, l, m = rng.uniform(-5.0, 5.0, size=4)
+        exempt = None
+        if family == "A":
+            m = a + b - l - eps
+        elif family == "C":
+            l = max(a, b) - eps
+            exempt = (0 if a > b else 1, 2)
+        elif family == "E":
+            m = min(a, b) - eps
+            exempt = (0 if a < b else 1, 3)
+        if family != "A" and not l > m:
+            continue
+        vals = (a, b, l, m)
+        gaps = [abs(vals[i] - vals[j]) for i in range(4) for j in range(i + 1, 4)
+                if (i, j) != exempt]
+        if min(gaps) >= 0.05:
+            out.append(HParams(a, b, l, m))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # acceptance summary: one PASS/FAIL line per criterion at the end of the run
 

@@ -36,7 +36,14 @@ from expratio.oracle import (
     _verdict,
 )
 
-from conftest import family_draws, mp_log_deriv_H, random_hparams, same_bits
+from conftest import (
+    NEAR_EPS,
+    family_draws,
+    mp_log_deriv_H,
+    near_boundary_draws,
+    random_hparams,
+    same_bits,
+)
 
 E = math.e
 
@@ -76,6 +83,10 @@ class TestGridSpec:
         # probes on an interval
         ts, parts = GridSpec._ts, GridSpec._parts
         assert ts.size == 411 and not ts.flags.writeable
+        # the scans evaluate the probes' distinct magnitudes, 0 first
+        mags = GridSpec._mags
+        assert np.array_equal(mags, np.unique(np.abs(ts))) and mags[0] == 0.0
+        assert mags.size == 206 and not mags.flags.writeable
         for interval in Interval:
             assert np.array_equal(ts[parts[interval]], _reference_points(interval))
             assert np.array_equal(ts[parts[interval]], GridSpec().points(interval))
@@ -378,14 +389,15 @@ def _report_with(params, monotonicity=None, convexity=None, third=None, **change
 def _flat_pos_third_order(probes):
     # (ln|H|)''' is odd in t, so a wrong third-order kind is opposed on
     # both half lines and (0, inf) is checked first; with its order-3
-    # probes there zeroed, the (-inf, 0) check is the one that fires
+    # values at +s, s > 0, zeroed and the values at -s kept, the (-inf, 0)
+    # check is the one that fires
     def patched(draws, orders):
         out = probes(draws, orders)
         if 3 in out:
-            value, cuts = out[3]
-            value = value.copy()
-            value[:, GridSpec._parts[_POS]] = 0.0
-            out[3] = (value, cuts)
+            plus, minus, cuts = out[3]
+            plus = plus.copy()
+            plus[:, 1:] = 0.0
+            out[3] = (plus, minus, cuts)
         return out
     return patched
 
@@ -566,15 +578,21 @@ def _scan_draws() -> list[HParams]:
 def test_fused_scans_match_single_interval_scans():
     draws = _scan_draws()
     ts, parts = GridSpec._ts, GridSpec._parts
+    # each probe's column among the distinct magnitudes, read at -|t| for
+    # t < 0 and at +|t| otherwise
+    col = np.searchsorted(GridSpec._mags, np.abs(ts))
+    assert np.array_equal(GridSpec._mags[col], np.abs(ts))
     # one pass over all 62 draws and every order
     fused = _probes(draws, (1, 2, 3))
     for i, p in enumerate(draws):
         for k in (1, 2, 3):
-            probes, cuts = fused[k]
+            plus, minus, cuts = fused[k]
             for interval in Interval:
                 s = parts[interval]
                 want = _reference_scan(p, interval, k)
-                fused_row = _verdict(ts[s], probes[i, s], cuts[i, s])
+                c = col[s]
+                probes = np.where(ts[s] < 0.0, minus[i, c], plus[i, c])
+                fused_row = _verdict(ts[s], probes, cuts[i, c])
                 assert _as_tuple(fused_row) == want, (p, interval, k)
                 # a pass for one draw and order reads the same values
                 one = _scan(p, k, interval)
@@ -699,16 +717,102 @@ def test_chunk_rows_match_draws_alone():
     ts, orders = GridSpec._ts, (1, 2, 3)
     chunk = _kernels_py.log_derivs_h(*np.array([p.as_tuple() for p in draws]).T, ts, orders)
     probes = _probes(draws, orders)
-    assert probes[1][0].shape == (_CHUNK, ts.size)
+    assert probes[1][0].shape == (_CHUNK, GridSpec._mags.size)
     for i, p in enumerate(draws):
         alone = _kernels_py.log_derivs_h(*p.as_tuple(), ts, orders)
         one = _probes([p], orders)
         for k in orders:
             assert same_bits(chunk[k][0][i], alone[k][0]), (p, k)
             assert same_bits(chunk[k][1][i], alone[k][1]), (p, k)
-            assert same_bits(probes[k][0][i], one[k][0][0]), (p, k)
-            assert same_bits(probes[k][1][i], one[k][1][0]), (p, k)
+            # the values at +s and at -s and the cuts
+            for got, want in zip(probes[k], one[k]):
+                assert same_bits(got[i], want[0]), (p, k)
     assert _check_chunk(draws) == [_check_one(p) for p in draws]
+
+
+def _reference_masks(draws):
+    """The (draws x claims) rise and fall masks judged on all 411 probes:
+    log_derivs_h on GridSpec's t, order 1 signed by sign(H), cut at bound +
+    SIGN_MARGIN, and each claim read on its interval's slice."""
+    a, b, l, m = np.array([p.as_tuple() for p in draws]).T
+    derivs = _kernels_py.log_derivs_h(a, b, l, m, GridSpec._ts, (1, 2, 3))
+    sign = np.where((a > b) == (l > m), 1.0, -1.0)[:, None]
+    rise, fall = [], []
+    for k, interval, _ in oracle._CHECKS:
+        value, bound = derivs[k]
+        if k == 1:
+            value = value * sign
+        cuts = bound + SIGN_MARGIN
+        s = GridSpec._parts[interval]
+        rise.append((value[:, s] > cuts[:, s]).any(axis=1))
+        fall.append((value[:, s] < -cuts[:, s]).any(axis=1))
+    return np.column_stack(rise), np.column_stack(fall)
+
+
+def _reference_outcome(p, rise, fall):
+    """The claim rule on one draw's mask rows; a contradiction's detail
+    comes from a kernel call on that interval's probes alone."""
+    report = classify_H(p)
+    third = report.third_order.kind
+    claims = [report.monotonicity[iv].direction for iv in Interval] + [
+        report.convexity.kind, third, third]
+    skip = bool(report.zero_band_hits)
+    for j, ((k, interval, check), claimed) in enumerate(zip(oracle._CHECKS, claims)):
+        if claimed not in _CLAIM_SIGN:
+            continue
+        sign = _CLAIM_SIGN[claimed] * (-1 if check == "3-log (-inf,0)" else 1)
+        if sign > 0:
+            confirms, opposes = rise[j], fall[j]
+        elif sign < 0:
+            confirms, opposes = fall[j], rise[j]
+        else:
+            confirms, opposes = rise[j], not (rise[j] and fall[j])
+        if opposes:
+            direction, *_, witnesses = _reference_scan(p, interval, k)
+            return "contradiction", {"params": p.as_tuple(), "check": check,
+                                     "claimed": claimed.value, "oracle": direction,
+                                     "witnesses": witnesses}
+        skip = skip or not confirms
+    return ("skip" if skip else "agree"), None
+
+
+def _mask_draws() -> list[HParams]:
+    # the first 64 draws of each pinned verify seed, the exact and near
+    # boundary families, draws scaled by 2^+-20 and 2^+-40, and sets whose
+    # products or differences overflow
+    draws = []
+    for seed in (0, 2, 7, 11, 42, 216):
+        draws += _draw_params(np.random.default_rng(seed), 64)
+    for family in ("A0", "C0", "E0", "ratio1", "ratio-1"):
+        draws += family_draws(family, 32, seed=8)
+    for i, family in enumerate("ACE"):
+        for j, eps in enumerate(NEAR_EPS):
+            draws += near_boundary_draws(family, eps, 8, seed=100 * i + j)
+    generic = _draw_params(np.random.default_rng(9), 16)
+    for e in (20, -20, 40, -40):
+        draws += [HParams(*(math.ldexp(x, e) for x in p.as_tuple())) for p in generic]
+    return draws + _OVERFLOW_PARAMS
+
+
+def test_masks_match_411_probe_judge():
+    # the judge reads the 206 magnitudes by parity; its masks and outcomes
+    # are those of the judge on all 411 probes, without a warning
+    draws = _mask_draws()
+    outcomes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i in range(0, len(draws), _CHUNK):
+            chunk = draws[i:i + _CHUNK]
+            rise, fall = oracle._rise_fall(chunk)
+            want_rise, want_fall = _reference_masks(chunk)
+            assert np.array_equal(rise, want_rise), i
+            assert np.array_equal(fall, want_fall), i
+            got = _check_chunk(chunk)
+            assert got == [_reference_outcome(p, r, f)
+                           for p, r, f in zip(chunk, want_rise, want_fall)], i
+            outcomes += got
+    # the near-boundary families contradict often, so the details are read
+    assert sum(kind == "contradiction" for kind, _ in outcomes) > 10
 
 
 def test_chunk_pass_memory():
