@@ -32,6 +32,15 @@ its bases; Q's verdicts are mapped from H's by an identity-keyed table.
 The enums hash by identity, in C, as they already compare, so no lookup
 keyed by them runs Python code.
 
+The records built on every call (``InvariantSet``, ``ConvexityVerdict``,
+``ClassificationReport`` and ``QReport``) are slotted frozen dataclasses
+whose hand-written ``__init__`` sets each field once through its slot
+descriptor, as the parameter records in ``params`` do: a generated frozen
+``__init__`` goes through ``object.__setattr__`` per field, which would
+cost about a third of a ``classify_H`` call.  Each such ``__init__`` must take
+the dataclass fields, in field order and with their defaults;
+tests/test_classify.py pins that for every such record.
+
 Useful algebraic facts, relied on by the consistency checks:
 C - B = D - E = 2 (a-b)|a-b|, and B + D = C + E = 2A, so the whole-line
 conditions imply both half-line conditions.
@@ -44,7 +53,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .params import HParams, PParams, QParams
+from .params import HParams, PParams, QParams, _slot_setters
 
 __all__ = [
     "Interval",
@@ -102,7 +111,7 @@ class ThirdOrderKind(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class InvariantSet:
     A: float
     B: float
@@ -110,8 +119,18 @@ class InvariantSet:
     D: float
     E: float
 
+    def __init__(self, A: float, B: float, C: float, D: float, E: float):
+        _set_inv_A(self, A)
+        _set_inv_B(self, B)
+        _set_inv_C(self, C)
+        _set_inv_D(self, D)
+        _set_inv_E(self, E)
+
     def as_dict(self) -> dict[str, float]:
         return {k: getattr(self, k) for k in "ABCDE"}
+
+
+_set_inv_A, _set_inv_B, _set_inv_C, _set_inv_D, _set_inv_E = _slot_setters(InvariantSet)
 
 
 @dataclass(frozen=True)
@@ -120,11 +139,19 @@ class MonotonicityVerdict:
     fired_conditions: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ConvexityVerdict:
     kind: ConvexityKind
     ratio: float
     exponent: float | None = None  # set for the log-affine case: H = e^{exponent * t}
+
+    def __init__(self, kind: ConvexityKind, ratio: float, exponent: float | None = None):
+        _set_cv_kind(self, kind)
+        _set_cv_ratio(self, ratio)
+        _set_cv_exponent(self, exponent)
+
+
+_set_cv_kind, _set_cv_ratio, _set_cv_exponent = _slot_setters(ConvexityVerdict)
 
 
 @dataclass(frozen=True)
@@ -132,7 +159,7 @@ class ThirdOrderVerdict:
     kind: ThirdOrderKind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ClassificationReport:
     invariants: InvariantSet
     monotonicity: dict[Interval, MonotonicityVerdict]
@@ -140,14 +167,41 @@ class ClassificationReport:
     third_order: ThirdOrderVerdict
     zero_band_hits: tuple[str, ...] = ()
 
+    def __init__(self, invariants: InvariantSet,
+                 monotonicity: dict[Interval, MonotonicityVerdict],
+                 convexity: ConvexityVerdict, third_order: ThirdOrderVerdict,
+                 zero_band_hits: tuple[str, ...] = ()):
+        _set_cr_invariants(self, invariants)
+        _set_cr_monotonicity(self, monotonicity)
+        _set_cr_convexity(self, convexity)
+        _set_cr_third_order(self, third_order)
+        _set_cr_zero_band_hits(self, zero_band_hits)
 
-@dataclass(frozen=True)
+
+(_set_cr_invariants, _set_cr_monotonicity, _set_cr_convexity, _set_cr_third_order,
+ _set_cr_zero_band_hits) = _slot_setters(ClassificationReport)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class QReport:
     monotonicity: dict[Interval, MonotonicityVerdict]
     log_convex: bool
     log_concave: bool
     third_order: ThirdOrderVerdict
     zero_band_hits: tuple[str, ...] = ()
+
+    def __init__(self, monotonicity: dict[Interval, MonotonicityVerdict],
+                 log_convex: bool, log_concave: bool, third_order: ThirdOrderVerdict,
+                 zero_band_hits: tuple[str, ...] = ()):
+        _set_qr_monotonicity(self, monotonicity)
+        _set_qr_log_convex(self, log_convex)
+        _set_qr_log_concave(self, log_concave)
+        _set_qr_third_order(self, third_order)
+        _set_qr_zero_band_hits(self, zero_band_hits)
+
+
+(_set_qr_monotonicity, _set_qr_log_convex, _set_qr_log_concave, _set_qr_third_order,
+ _set_qr_zero_band_hits) = _slot_setters(QReport)
 
 
 def _invariants(a: float, b: float, l: float, m: float) -> tuple[float, float, float, float, float]:
@@ -313,19 +367,17 @@ def classify_H(params: HParams) -> ClassificationReport:
     qa, qb, ql, qm = a / p2, b / p2, l / p2, m / p2
     # band sign: -1, 0 or +1, with 0 meaning -band <= x <= band; each |q| is
     # below 2, so every scaled invariant is finite
-    signs = tuple([(x > band) - (x < -band) for x in _invariants(qa, qb, ql, qm)])
+    A, B, C, D, E = _invariants(qa, qb, ql, qm)
+    nb = -band
+    signs = ((A > band) - (A < nb), (B > band) - (B < nb), (C > band) - (C < nb),
+             (D > band) - (D < nb), (E > band) - (E < nb))
     mono, hits = _DECISIONS[l > m, signs]
     convexity = _convexity(qa - qb, ql - qm, params)
     if convexity.kind is ConvexityKind.LOG_AFFINE:
         hits += ("ratio",)
-    return ClassificationReport(
-        invariants=InvariantSet(*_invariants(a, b, l, m)),
-        # a copy, so that no two reports share a dict
-        monotonicity=mono.copy(),
-        convexity=convexity,
-        third_order=_THIRD_ORDER[convexity.kind],
-        zero_band_hits=hits,
-    )
+    # the verdict dict is a copy, so that no two reports share one
+    return ClassificationReport(InvariantSet(*_invariants(a, b, l, m)), mono.copy(),
+                                convexity, _THIRD_ORDER[convexity.kind], hits)
 
 
 def classify_P(params: PParams) -> ClassificationReport:
@@ -348,15 +400,22 @@ _Q_VERDICTS = {
 }
 
 
+_POS, _NEG, _WHOLE = Interval
+_Q_NAME = _Q_NAMES.__getitem__
+
+
 def classify_Q(params: QParams) -> QReport:
     report = classify_H(params.h_params())
+    mono = report.monotonicity
     kind = report.convexity.kind
+    # in Interval order, as H's verdict dict holds them
     return QReport(
-        monotonicity={iv: _Q_VERDICTS[id(v)] for iv, v in report.monotonicity.items()},
-        log_convex=kind is ConvexityKind.LOG_CONVEX,
-        log_concave=kind is ConvexityKind.LOG_CONCAVE,
-        third_order=report.third_order,
-        zero_band_hits=tuple(_Q_NAMES[n] for n in report.zero_band_hits),
+        {_POS: _Q_VERDICTS[id(mono[_POS])], _NEG: _Q_VERDICTS[id(mono[_NEG])],
+         _WHOLE: _Q_VERDICTS[id(mono[_WHOLE])]},
+        kind is ConvexityKind.LOG_CONVEX,
+        kind is ConvexityKind.LOG_CONCAVE,
+        report.third_order,
+        tuple(map(_Q_NAME, report.zero_band_hits)),
     )
 
 

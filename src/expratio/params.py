@@ -3,12 +3,26 @@
 All equality tests in the validity checks are exact floating comparisons:
 evaluation is well defined up to exact degeneracy, and fuzzy boundary
 detection is the classifier's job (see the zero band there).
+
+HParams, PParams and QParams are built on every classify call (P and Q
+reduce to an HParams), so they are slotted frozen dataclasses with a
+hand-written ``__init__``: it converts each value to float once and sets
+it through the field's slot descriptor (``_slot_setters``), then calls
+``__post_init__``, which only validates.  A generated frozen ``__init__``
+sets each field through ``object.__setattr__``, and converting in
+``__post_init__`` would set each one a second time, about twice the cost
+of this construction.  Slots also leave the instance without a
+``__dict__``.  Equality, hashing, repr, pickling, ``dataclasses.replace``
+and ``FrozenInstanceError`` behave as for any frozen dataclass.  A
+hand-written ``__init__`` must take the dataclass fields, in field order
+and with their defaults, since ``replace`` and positional construction go
+through it; tests/test_params.py pins that for every such record.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 class ParameterError(ValueError):
@@ -21,7 +35,14 @@ def _require_finite(name: str, *values: float) -> None:
             raise ParameterError(f"{name}: all parameters must be finite, got {values}")
 
 
-@dataclass(frozen=True)
+def _slot_setters(cls) -> tuple:
+    """The ``__set__`` of each field's slot descriptor of the slotted
+    dataclass cls, in field order.  Calling one sets that field of a
+    frozen instance without going through its ``__setattr__``."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class HParams:
     """Exponent quadruple (alpha, beta, lambda, mu) for the ratio
     (e^{alpha t} - e^{beta t}) / (e^{lambda t} - e^{mu t})."""
@@ -31,11 +52,14 @@ class HParams:
     lam: float
     mu: float
 
+    def __init__(self, alpha: float, beta: float, lam: float, mu: float):
+        _set_h_alpha(self, float(alpha))
+        _set_h_beta(self, float(beta))
+        _set_h_lam(self, float(lam))
+        _set_h_mu(self, float(mu))
+        self.__post_init__()
+
     def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "lam", float(self.lam))
-        object.__setattr__(self, "mu", float(self.mu))
         _require_finite("HParams", self.alpha, self.beta, self.lam, self.mu)
         if self.alpha == self.beta:
             raise ParameterError("HParams: alpha == beta makes the numerator vanish")
@@ -50,7 +74,10 @@ class HParams:
         return (self.alpha, self.beta, self.lam, self.mu)
 
 
-@dataclass(frozen=True)
+_set_h_alpha, _set_h_beta, _set_h_lam, _set_h_mu = _slot_setters(HParams)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class PParams:
     """Positive base quadruple (r, s, u, v) for (r^t - s^t) / (u^t - v^t)."""
 
@@ -59,11 +86,14 @@ class PParams:
     u: float
     v: float
 
+    def __init__(self, r: float, s: float, u: float, v: float):
+        _set_p_r(self, float(r))
+        _set_p_s(self, float(s))
+        _set_p_u(self, float(u))
+        _set_p_v(self, float(v))
+        self.__post_init__()
+
     def __post_init__(self):
-        object.__setattr__(self, "r", float(self.r))
-        object.__setattr__(self, "s", float(self.s))
-        object.__setattr__(self, "u", float(self.u))
-        object.__setattr__(self, "v", float(self.v))
         _require_finite("PParams", self.r, self.s, self.u, self.v)
         if min(self.r, self.s, self.u, self.v) <= 0.0:
             raise ParameterError("PParams: r, s, u, v must all be positive")
@@ -88,16 +118,22 @@ class PParams:
             ) from None
 
 
-@dataclass(frozen=True)
+_set_p_r, _set_p_s, _set_p_u, _set_p_v = _slot_setters(PParams)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class QParams:
     """Exponent pair (alpha, beta) for (e^{-alpha t} - e^{-beta t}) / (1 - e^{-t})."""
 
     alpha: float
     beta: float
 
+    def __init__(self, alpha: float, beta: float):
+        _set_q_alpha(self, float(alpha))
+        _set_q_beta(self, float(beta))
+        self.__post_init__()
+
     def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
         _require_finite("QParams", self.alpha, self.beta)
         if self.alpha == self.beta:
             raise ParameterError("QParams: alpha == beta makes the numerator vanish")
@@ -108,6 +144,9 @@ class QParams:
         """Q_{alpha,beta}(t) equals the four-exponent ratio with
         exponents (-alpha, -beta, 0, -1)."""
         return HParams(-self.alpha, -self.beta, 0.0, -1.0)
+
+
+_set_q_alpha, _set_q_beta = _slot_setters(QParams)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,11 @@ is an independent check.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import inspect
+import pickle
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -154,6 +159,42 @@ def near_boundary_draws(family: str, eps: float, n: int, seed: int) -> list[HPar
         if min(gaps) >= 0.05:
             out.append(HParams(a, b, l, m))
     return out
+
+
+def assert_record_contract(record) -> None:
+    """The frozen dataclass contract of a slotted record with a hand-written
+    __init__: that __init__ takes the dataclass fields in order, with their
+    defaults; positional and keyword construction, dataclasses.replace,
+    pickle and deepcopy give equal records; a field cannot be assigned;
+    equal hashable records hash equal; and no instance has a __dict__."""
+    cls = type(record)
+    fields = dataclasses.fields(cls)
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    assert [p.name for p in params] == [f.name for f in fields]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    for p, f in zip(params, fields):
+        want = inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
+        assert p.default == want, f.name
+
+    values = {f.name: getattr(record, f.name) for f in fields}
+    positional = cls(*values.values())
+    assert positional == record
+    assert cls(**values) == record
+    assert dataclasses.replace(record) == record
+    for name, value in values.items():
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, value)
+    try:
+        hash(record)
+    except TypeError:  # a record with a dict field is unhashable
+        pass
+    else:
+        assert hash(positional) == hash(record)
+    for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(twin) is cls and twin == record
+    assert "__slots__" in cls.__dict__
+    assert not hasattr(record, "__dict__")
+    assert repr(positional) == repr(record)
 
 
 # ---------------------------------------------------------------------------

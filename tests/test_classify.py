@@ -25,7 +25,7 @@ from expratio import (
 from expratio import classify
 from expratio.classify import zero_band_width
 
-from conftest import family_draws, random_hparams, same_bits
+from conftest import assert_record_contract, family_draws, random_hparams, same_bits
 
 _coord = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
 hparams_st = (
@@ -526,3 +526,17 @@ def test_reports_do_not_share_verdicts():
     first.monotonicity[Interval.WHOLE_LINE] = None
     first.monotonicity.pop(Interval.POSITIVE_HALF_LINE)
     assert classify_H(p).monotonicity == want
+
+
+_GENERIC = classify_H(HParams(1.3, -0.4, 2.1, 0.2))
+# ratio 1: log-affine, so the exponent is set and "ratio" is a band hit
+_AFFINE = classify_H(HParams(2.0, 1.0, 1.5, 0.5))
+
+
+@pytest.mark.parametrize("record", [
+    _GENERIC.invariants, _GENERIC.convexity, _AFFINE.convexity, _GENERIC, _AFFINE,
+    classify_Q(QParams(0.0, 2.0)),
+], ids=["InvariantSet", "ConvexityVerdict", "ConvexityVerdict-log-affine",
+        "ClassificationReport", "ClassificationReport-hits", "QReport"])
+def test_record_contract(record):
+    assert_record_contract(record)

@@ -815,6 +815,75 @@ def test_masks_match_411_probe_judge():
     assert sum(kind == "contradiction" for kind, _ in outcomes) > 10
 
 
+def _flat_probes(draws, orders):
+    """_probes' layout with every value 0 and a distinct cut per probe and
+    draw; an even order's minus is its plus, as the kernel returns it."""
+    shape = (len(draws), len(GridSpec._mags))
+    out = {}
+    for k in orders:
+        cuts = np.linspace(1e-8, 2e-8, shape[0] * shape[1]).reshape(shape)
+        plus = np.zeros(shape)
+        out[k] = (plus, plus if k % 2 == 0 else np.zeros(shape), cuts)
+    return out
+
+
+_CHECK_INDEX = {(k, interval): j for j, (k, interval, _) in enumerate(oracle._CHECKS)}
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["rise", "fall"])
+def test_whole_line_reads_origin_probe(monkeypatch, sign):
+    # order 1's s = 0 column is t = 0, a probe of the whole line only: a
+    # draw whose one confident probe sits there rises (falls) on the whole
+    # line and on neither half line
+    def probes(draws, orders):
+        out = _flat_probes(draws, orders)
+        plus, minus, cuts = out[1]
+        plus[:, 0] = minus[:, 0] = sign * 2.0 * cuts[:, 0]
+        return out
+
+    monkeypatch.setattr(oracle, "_probes", probes)
+    rise, fall = oracle._rise_fall([_DRAW, _DRAW])
+    want = np.zeros_like(rise)
+    want[:, _CHECK_INDEX[1, Interval.WHOLE_LINE]] = True
+    assert np.array_equal(rise if sign > 0 else fall, want)
+    assert not (fall if sign > 0 else rise).any()
+
+
+@pytest.mark.parametrize("past", [False, True], ids=["at-cut", "one-ulp-past"])
+def test_probe_at_its_cut_is_no_witness(monkeypatch, past):
+    # a witness lies strictly beyond its cut: a probe equal to +cut or -cut
+    # neither rises nor falls, and one ulp further it does.  Draw 0 reads
+    # +cut at every +s and -cut at every -s, draw 1 the reverse.
+    def probes(draws, orders):
+        out = _flat_probes(draws, orders)
+        for plus, minus, cuts in out.values():
+            edge = np.nextafter(cuts, np.inf) if past else cuts
+            plus[0], plus[1] = edge[0], -edge[1]
+            if minus is not plus:
+                minus[0], minus[1] = -edge[0], edge[1]
+        return out
+
+    monkeypatch.setattr(oracle, "_probes", probes)
+    rise, fall = oracle._rise_fall([_DRAW, _DRAW])
+    if not past:
+        assert not rise.any() and not fall.any()
+        return
+    # draw 0: positive on (0, inf) at every order, negative on (-inf, 0) at
+    # the odd orders, positive on the whole line at order 2
+    pos = np.array([_CHECK_INDEX[c] for c in [(1, Interval.POSITIVE_HALF_LINE),
+                                             (1, Interval.WHOLE_LINE),
+                                             (2, Interval.WHOLE_LINE),
+                                             (3, Interval.POSITIVE_HALF_LINE)]])
+    neg = np.array([_CHECK_INDEX[c] for c in [(1, Interval.NEGATIVE_HALF_LINE),
+                                             (1, Interval.WHOLE_LINE),
+                                             (3, Interval.NEGATIVE_HALF_LINE)]])
+    want_up, want_dn = np.zeros_like(rise), np.zeros_like(fall)
+    want_up[0, pos] = want_dn[0, neg] = True
+    want_dn[1, pos] = want_up[1, neg] = True
+    assert np.array_equal(rise, want_up)
+    assert np.array_equal(fall, want_dn)
+
+
 def test_chunk_pass_memory():
     # the output array first, one branch per element and every temporary
     # freed once read keep a 32-draw pass under 1.5 MiB (2.9 MiB when both

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import sys
 
+import numpy as np
 import pytest
 
 from expratio import (
@@ -11,6 +13,9 @@ from expratio import (
     QParams,
     SignedLogValue,
 )
+from expratio import oracle
+
+from conftest import assert_record_contract
 
 
 class TestHParams:
@@ -76,6 +81,87 @@ class TestQParams:
     def test_near_exclusion_is_allowed(self):
         # exclusions are exact-equality degeneracies, not fuzzy bands
         QParams(0.0, 1.0 + 1e-15)
+
+
+class TestSlottedParams:
+    """HParams, PParams and QParams convert in a hand-written __init__ and
+    validate in __post_init__; they behave as the generated frozen
+    dataclasses did."""
+
+    @pytest.mark.parametrize("record", [
+        HParams(1.3, -0.4, 2.1, 0.2), PParams(2.0, 3.0, 5.0, 7.0), QParams(-0.5, 0.5),
+    ], ids=["H", "P", "Q"])
+    def test_record_contract(self, record):
+        assert_record_contract(record)
+
+    def test_replace_revalidates(self):
+        h = HParams(1.3, -0.4, 2.1, 0.2)
+        assert dataclasses.replace(h, mu=0.5) == HParams(1.3, -0.4, 2.1, 0.5)
+        with pytest.raises(ParameterError, match="alpha == beta"):
+            dataclasses.replace(h, beta=h.alpha)
+        with pytest.raises(ParameterError, match="r == s"):
+            dataclasses.replace(PParams(2.0, 3.0, 5.0, 7.0), s=2)
+        with pytest.raises(ParameterError, match="excluded"):
+            dataclasses.replace(QParams(-0.5, 0.5), alpha=0, beta=1)
+
+    @pytest.mark.parametrize("cls, args", [
+        (HParams, (3, np.int64(1), np.float32(2.5), np.float64(0.25))),
+        (PParams, (np.int32(3), 1, np.float32(2.5), np.float64(0.25))),
+        (QParams, (np.int64(-1), np.float32(0.5))),
+    ], ids=["H", "P", "Q"])
+    def test_values_become_float(self, cls, args):
+        record = cls(*args)
+        values = [getattr(record, f.name) for f in dataclasses.fields(cls)]
+        assert all(type(v) is float for v in values)
+        assert values == [float(a) for a in args]
+        assert record == cls(*(float(a) for a in args))
+
+    @pytest.mark.parametrize("cls, args, message", [
+        (HParams, (1, 1, 2, 0), "HParams: alpha == beta makes the numerator vanish"),
+        (HParams, (1, 0, 2, 2), "HParams: lambda == mu makes the denominator vanish"),
+        (HParams, (1, 0, 1, 0), "HParams: (alpha, beta) == (lambda, mu) excluded"),
+        (HParams, (1, 0, 0, 1), "HParams: (alpha, beta) == (mu, lambda) excluded"),
+        (HParams, (np.float32(1.5), np.int64(0), math.inf, 0),
+         "HParams: all parameters must be finite, got (1.5, 0.0, inf, 0.0)"),
+        (PParams, (0, 2, 3, 4), "PParams: r, s, u, v must all be positive"),
+        (PParams, (2, 2, 3, 4), "PParams: r == s makes the numerator vanish"),
+        (PParams, (2, 3, 4, 4), "PParams: u == v makes the denominator vanish"),
+        (PParams, (2, 3, 2, 3), "PParams: (r, s) == (u, v) excluded"),
+        (PParams, (2, 3, 3, 2), "PParams: (r, s) == (v, u) excluded"),
+        (PParams, (np.int64(2), 3, math.inf, 1),
+         "PParams: all parameters must be finite, got (2.0, 3.0, inf, 1.0)"),
+        (QParams, (1, 1), "QParams: alpha == beta makes the numerator vanish"),
+        (QParams, (np.int64(1), np.float32(0)), "QParams: (alpha, beta) in {(0,1), (1,0)} excluded"),
+        (QParams, (-math.inf, 1), "QParams: all parameters must be finite, got (-inf, 1.0)"),
+    ])
+    def test_error_messages(self, cls, args, message):
+        with pytest.raises(ParameterError) as err:
+            cls(*args)
+        assert str(err.value) == message
+
+    def test_post_init_once_per_construction(self, monkeypatch):
+        # the traced benchmark counts constructions by wrapping __post_init__
+        calls = []
+        validate = HParams.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            validate(self)
+
+        monkeypatch.setattr(HParams, "__post_init__", counted)
+        h = HParams(1.3, -0.4, 2.1, 0.2)
+        assert calls == [h]
+        steps = [
+            lambda: PParams(2.0, 3.0, 5.0, 7.0).log_params(),
+            lambda: QParams(-0.5, 0.5).h_params(),
+            lambda: dataclasses.replace(h, mu=0.5),
+        ]
+        for step in steps:
+            del calls[:]
+            assert calls == [step()]
+        del calls[:]
+        draws = oracle._draw_params(np.random.default_rng(5), 32)
+        assert calls == draws and len(draws) == 32
 
 
 class TestGFParams:
