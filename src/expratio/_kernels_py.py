@@ -63,15 +63,22 @@ affine pieces and the ln|t| of the sinh form exactly, which keeps the
 rounding noise proportional to the local derivative scale instead of to
 |ln H|: that is what makes high-order sign checks trustworthy.  One table,
 ``_STENCILS``, holds every order's offsets and weights, divisor and ln|t|
-pole coefficient, and one loop applies it; g is evaluated once per
-distinct offset.  With ``step=None`` the steps are
-``DEFAULT_STEPS[order] * max(1, |t|)``, and order 3 adds a second
-Richardson level (steps h/2 and h/4) in the same pass.  Each term's form
-is chosen at the stencil center and held across the stencil, so t and the
-step are compressed once per block to each term's sinh elements and its
-log1mexp elements, and each stencil point evaluates every element on its
-own branch only; ln(1 - e^{-v}) also takes one of its two forms per
-element, switching at v = ln 2.
+pole coefficient, and one loop applies it.  With ``step=None`` the steps
+are ``DEFAULT_STEPS[order] * max(1, |t|)``, and order 3 adds a second
+Richardson level (steps h/2 and h/4) in the same pass.  Each term's form is
+chosen at the stencil center and held across the stencil, so a block falls
+into four sets by the forms of its two terms.  t and the step are permuted
+once per block to lay the sets out one after the other, and then each
+term's elements of one form are a slice.  g is evaluated once per distinct
+offset in two arrays, d1 (t + offset h) and d2 (t + offset h), the second
+written over t + offset h, and each term's forms then run in place on their
+slices, every element on its own branch.  ln(1 - e^{-v}) runs
+its v >= ln 2 form on the whole slice and patches the few elements below
+ln 2 with the other form.  The stencil sums accumulate left to right, each
+g dropped after its last use; the Richardson steps and order 1's affine
+term run in place, and the estimate and error are put back in t's order at
+the end.  Every step is elementwise, so no element's bits depend on the set
+it falls in or on the rest of the block.
 
 Once alpha - beta, lam - mu or beta - mu overflows, ``log_abs_h`` and
 ``eval_h`` evaluate H at p/2 and 2t, since H(p)(t) = H(p/2)(2t) and the
@@ -98,7 +105,6 @@ in a call on that element alone.
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 
@@ -108,34 +114,32 @@ _LN2 = 0.6931471805599453
 
 
 def _log_sinhc(y):
-    """ln(sinh(y)/y) for |y| <= ~0.55, series + log1p (even in y)."""
+    """ln(sinh(y)/y) for |y| <= ~0.55, series + log1p (even in y), written
+    into y."""
     y2 = y * y
-    w = y2 * (
-        1.0 / 6.0
-        + y2
-        * (
-            1.0 / 120.0
-            + y2
-            * (
-                1.0 / 5040.0
-                + y2 * (1.0 / 362880.0 + y2 * (1.0 / 39916800.0 + y2 / 6227020800.0))
-            )
-        )
-    )
-    return np.log1p(w)
+    # Horner from the innermost term, which is divided, not multiplied
+    w = np.divide(y2, 6227020800.0, out=y)
+    for c in (1.0 / 39916800.0, 1.0 / 362880.0, 1.0 / 5040.0, 1.0 / 120.0, 1.0 / 6.0):
+        w += c
+        w *= y2
+    return np.log1p(w, out=w)
 
 
 def _log1mexp(v):
     """ln(1 - e^{-v}) for v > 0 in a 1-D array, each element by the one form
-    accurate for it."""
+    accurate for it, written into v."""
     # switch at ln 2: M. Maechler, "Accurately Computing log(1 - exp(-|a|))",
-    # Rmpfr package vignette, 2012
-    small = v < _LN2
-    out = np.empty_like(v)
-    out[small] = np.log(-np.expm1(-v[small]))
-    small = ~small
-    out[small] = np.log1p(-np.exp(-v[small]))
-    return out
+    # Rmpfr package vignette, 2012.  The v >= ln 2 form runs on the whole
+    # array and the rare elements below ln 2 are patched after it
+    small = np.flatnonzero(v < _LN2)
+    vs = v[small]
+    np.negative(v, out=v)
+    np.exp(v, out=v)
+    np.negative(v, out=v)
+    np.log1p(v, out=v)
+    if small.size:
+        v[small] = np.log(-np.expm1(-vs))
+    return v
 
 
 def log_abs_quot(alpha, beta, t):
@@ -523,6 +527,15 @@ def fd_log_deriv(alpha, beta, lam, mu, t, order, step):
     return est, err
 
 
+def _power(x, k):
+    """x^k for k >= 1 as the product ((x x) x) ... left to right, in a new
+    array."""
+    out = np.multiply(x, x) if k > 1 else np.array(x, dtype=np.float64)
+    for _ in range(k - 2):
+        out *= x
+    return out
+
+
 def _fd_block(d1, d2, s0, order, t, step=None):
     offsets, weights, div, pole = _STENCILS[order]
     # the h/4 level: third differences are roundoff-limited near 1e-6 at any
@@ -530,58 +543,138 @@ def _fd_block(d1, d2, s0, order, t, step=None):
     deeper = step is None and order == 3
     if step is None:
         step = DEFAULT_STEPS[order] * np.maximum(1.0, np.abs(t))
-    h = np.broadcast_to(step, t.shape)
+    if deeper:
+        # the error keeps a floor at the roundoff scale eps / (h/2)^3 of the
+        # finest inner step, which the stage spread cannot see; taken in t's
+        # shape, so that a 0-d t has it from NumPy's scalar power
+        floor = np.finfo(np.float64).eps / (0.5 * step) ** 3
     # sigma selects the sinh form per term, decided at the stencil center
     # and held fixed across the stencil
     sigma1 = np.abs(d1 * t) <= 1.0
     sigma2 = np.abs(d2 * t) <= 1.0
-    # so each term's sinh elements and log1mexp elements are the same at
-    # every stencil point: t and h are compressed to each set once
-    terms = [(d, near, t[near], h[near], far, t[far], h[far])
-             for d, near, far in ((d1, sigma1, ~sigma1), (d2, sigma2, ~sigma2))]
+    # so the block splits into four sets by the pair of forms, the same at
+    # every stencil point: (sinh, sinh), (sinh, log1mexp), (log1mexp,
+    # log1mexp) and (log1mexp, sinh).  t and h are permuted once to lay the
+    # sets out one after the other in that order, so that each term's
+    # elements of one form are one slice (two for the second term's sinh
+    # form), and each stencil point runs each form in place on its slices.
+    # All else is elementwise and runs in that order too; est and err are
+    # put back in t's order at the end.
+    sets = [np.flatnonzero(a & b) for a, b in
+            ((sigma1, sigma2), (sigma1, ~sigma2), (~sigma1, ~sigma2), (~sigma1, sigma2))]
+    # where each set ends
+    nn, nf, ff, n = np.cumsum([len(x) for x in sets])
+    forms = ((d1, (slice(0, nf),), slice(nf, n)),
+             (d2, (slice(0, nn), slice(ff, n)), slice(nn, ff)))
+    perm = np.concatenate(sets)
+    del sets, sigma1, sigma2
+    shape = t.shape
+    h = np.broadcast_to(step, shape).reshape(-1)[perm]
+    t = t.reshape(-1)[perm]
+    del step
+    buf = np.empty(n)
 
     def g(offset):
         # the non-affine remainder of ln|H| at t + offset * h, each element
-        # on its own branch
-        g1, g2 = np.empty(t.shape), np.empty(t.shape)
-        for part, (d, near, tn, hn, far, tf, hf) in zip((g1, g2), terms):
-            part[near] = _log_sinhc(np.minimum(np.abs(d * (tn + offset * hn)), 4.0) * 0.5)
-            part[far] = _log1mexp(np.maximum(np.abs(d * (tf + offset * hf)), 0.5))
+        # on its own branch and each term's chain in place in one array; an
+        # empty slice is skipped
+        np.multiply(offset, h, out=buf)
+        np.add(buf, t, out=buf)
+        g1 = np.multiply(d1, buf)
+        g2 = np.multiply(d2, buf, out=buf)
+        for part, (_, nears, far) in zip((g1, g2), forms):
+            np.abs(part, out=part)
+            for near in nears:
+                y = part[near]
+                if y.size:
+                    np.minimum(y, 4.0, out=y)
+                    y *= 0.5
+                    _log_sinhc(y)
+            y = part[far]
+            if y.size:
+                _log1mexp(np.maximum(y, 0.5, out=y))
         g1 -= g2
         return g1
 
-    # the stencil sums at steps h, h/2 (and h/4), left to right, with g
-    # evaluated once per distinct offset
+    # the stencil sums at steps h, h/2 (and h/4), each left to right, with g
+    # evaluated once per distinct offset and dropped after its last use
     scales = (1.0, 0.5, 0.25) if deeper else (1.0, 0.5)
-    gs = {x: g(x) for x in {o * s for s in scales for o in offsets}}
-    sums = [reduce(np.add, [w * gs[o * s] for o, w in zip(offsets, weights)]) for s in scales]
-    del gs
+    terms = [(o * s, w) for s in scales for o, w in zip(offsets, weights)]
+    last = {x: i for i, (x, _) in enumerate(terms)}
+    kept, sums = {}, []
+    for i, (x, w) in enumerate(terms):
+        first = i % len(offsets) == 0
+        gx = kept.pop(x) if x in kept else g(x)
+        if last[x] > i:
+            kept[x] = gx
+            gx = np.multiply(w, gx, out=None if first else buf)
+        else:
+            gx *= w
+        if first:
+            sums.append(gx)
+        else:
+            sums[-1] += gx
 
     # the pieces excluded from the stencil are differentiated exactly: the
-    # ln|t| of each sinh form, and for order 1 the affine slopes
-    c_ln = sigma1.astype(np.float64) - sigma2.astype(np.float64)
-    exact = c_ln * (pole / reduce(np.multiply, [t] * order))
+    # ln|t| of each sinh form, its coefficient 1 - 1, 1 - 0, 0 - 0 or 0 - 1
+    # on the four sets, and for order 1 the affine slopes
+    exact = _power(t, order)
+    np.divide(pole, exact, out=exact)
+    c_ln = np.zeros(t.shape)
+    c_ln[nn:nf] = 1.0
+    c_ln[ff:] = -1.0
+    exact *= c_ln
+    del c_ln
 
     def richardson(h, coarse, fine):
-        # differences at h and h/2; 2^k rescales the h/2 sum exactly
-        den = div * reduce(np.multiply, [h] * order)
-        e_h = coarse / den
-        e_h2 = 2.0 ** order * fine / den
-        return (4.0 * e_h2 - e_h) / 3.0 - exact, np.abs(e_h2 - e_h) / 3.0
+        # the differences at h and h/2 from their stencil sums, the coarse
+        # sum overwritten; 2^k rescales the h/2 sum exactly
+        den = _power(h, order)
+        den *= div
+        coarse /= den
+        fine = np.multiply(2.0 ** order, fine)
+        fine /= den
+        est = np.multiply(4.0, fine, out=den)
+        est -= coarse
+        est /= 3.0
+        est -= exact
+        fine -= coarse
+        err = np.abs(fine, out=fine)
+        err /= 3.0
+        return est, err
 
     est, err = richardson(h, sums[0], sums[1])
     if order == 1:
-        est += (
-            s0
-            + np.where(sigma1, 0.5 * d1, np.where(d1 * t > 0.0, d1, 0.0))
-            - np.where(sigma2, 0.5 * d2, np.where(d2 * t > 0.0, d2, 0.0))
-        )
+        # s0 plus the slope of each term's affine part: d/2 in the sinh
+        # form, and in the log1mexp form d where d t > 0, else +0.0, formed
+        # as (d t > 0) d + 0.0 (the sum turns the product's -0.0 at d < 0
+        # into +0.0; a select with np.where takes four times as long)
+        slopes = []
+        for d, nears, _ in forms:
+            slope = np.multiply(d * t > 0.0, d)
+            slope += 0.0
+            for near in nears:
+                slope[near] = 0.5 * d
+            slopes.append(slope)
+        slope1, slope2 = slopes
+        slope1 += s0
+        slope1 -= slope2
+        est += slope1
     if deeper:
-        # the O(h^4) pair at h and h/2; the error keeps a floor at the
-        # roundoff scale eps / h^3 of the finest inner step, which the
-        # stage spread cannot see
-        half = 0.5 * h
-        est_half, _ = richardson(half, sums[1], sums[2])
-        est = (16.0 * est_half - est) / 15.0
-        err = np.maximum(np.abs(est - est_half), np.finfo(np.float64).eps / half ** 3)
+        # the O(h^4) pair at h and h/2
+        half = np.multiply(0.5, h, out=h)
+        est_half, spread = richardson(half, sums[1], sums[2])
+        refined = np.multiply(16.0, est_half, out=spread)
+        refined -= est
+        refined /= 15.0
+        err = np.subtract(refined, est_half, out=est)
+        est = refined
+        np.abs(err, out=err)
+    # back in t's order and shape, in two arrays no longer read (a float
+    # each for a 0-d t)
+    buf[perm] = est
+    exact[perm] = err
+    est, err = buf.reshape(shape)[()], exact.reshape(shape)[()]
+    if deeper:
+        err = np.maximum(err, floor)
     return est, err

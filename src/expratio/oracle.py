@@ -180,11 +180,18 @@ def numeric_log_derivative(
 ):
     """k-th derivative of ln|H| at t (scalar or array) by central differences.
 
-    Returns (estimate, error_estimate); the error estimate is the spread of
-    the two Richardson stages.  The stencil must not straddle the origin:
-    the decomposition of the log has a kink there.  Raises ParameterError
-    for an order outside 1..4, a non-finite t, a step that is not positive
-    and finite, or a stencil that would touch t = 0.
+    Returns (estimate, error_estimate).  With D(s) the central difference
+    at step s of the part of ln|H| that is not differentiated exactly, the
+    estimate at step h is E(h) = (4 D(h/2) - D(h))/3 plus the exact
+    derivative of the rest, and the error is the size of the Richardson
+    correction, |D(h/2) - D(h)|/3.  With the default step, order 3 takes a
+    second level: the estimate is (16 E(h/2) - E(h))/15 and the error
+    |E(h/2) - E(h)|/15, but at least eps/(h/2)^3, the roundoff scale of
+    its finest inner step, which that difference cannot see.  The stencil
+    must not straddle the origin: the decomposition of the log has a kink
+    there.  Raises ParameterError for an order outside 1..4, a non-finite
+    t, a step that is not positive and finite, or a stencil that would
+    touch t = 0.
     """
     if order not in (1, 2, 3, 4):
         raise ParameterError("order must be 1..4")

@@ -916,21 +916,38 @@ _OVERFLOW_PARAMS = [HParams(1e308, -1e308, 1.5e308, -1.5e308), HParams(2, 0, 3, 
                     HParams(1000.5, 1000, 1001, 1000), HParams(1e308, -1e308, 1, 0)]
 
 
+# every stencil centre on |t| <= 2 takes the sinh form for both terms
+_NEAR_MAJORITY = HParams(0.3, -0.2, 0.25, -0.15)
+
+
 def _block_kernels():
-    # (name, function of (params, t), smallest |t| it takes, parameter sets)
+    # (name, function of (params, t), grid of (rng, shape), parameter sets)
     def fd(k):
         return lambda p, t: _kernels_py.fd_log_deriv(*p.as_tuple(), t, k, 1e-3)
 
     def nld(k):
         return lambda p, t: numeric_log_derivative(p, t, k)
 
+    def log_grid(t_min):
+        return lambda rng, shape: _block_grid(rng, shape, t_min)
+
+    def fd_cases(name, fn, k, reach):
+        # the log-uniform grid, the near-majority grid, and stencils that
+        # cross v = ln 2 in the log1mexp form
+        return [(f"{name}-o{k}", fn(k), log_grid(0.05), _BLOCK_PARAMS),
+                (f"{name}-o{k}-near", fn(k), _near_grid, [_NEAR_MAJORITY]),
+                (f"{name}-o{k}-ln2", fn(k), _ln2_grid(reach), _ln2_params(reach))]
+
     values = _BLOCK_PARAMS + _OVERFLOW_PARAMS
     cases = [
-        ("log_abs_h", lambda p, t: _kernels_py.log_abs_h(*p.as_tuple(), t), 0.0, values),
-        ("eval_h", lambda p, t: _kernels_py.eval_h(*p.as_tuple(), t), 0.0, values),
-        *((f"fd_log_deriv-o{k}", fd(k), 0.05, _BLOCK_PARAMS) for k in (1, 2, 3, 4)),
-        *((f"numeric_log_derivative-o{k}", nld(k), 0.05, _BLOCK_PARAMS) for k in (1, 2, 3, 4)),
+        ("log_abs_h", lambda p, t: _kernels_py.log_abs_h(*p.as_tuple(), t), log_grid(0.0), values),
+        ("eval_h", lambda p, t: _kernels_py.eval_h(*p.as_tuple(), t), log_grid(0.0), values),
     ]
+    for k in (1, 2, 3, 4):
+        cases += fd_cases("fd_log_deriv", fd, k, max(_kernels_py._STENCILS[k][0]) * 1e-3)
+    for k in (1, 2, 3, 4):
+        cases += fd_cases("numeric_log_derivative", nld, k,
+                          max(_kernels_py._STENCILS[k][0]) * DEFAULT_STEPS[k])
     return [pytest.param(*case, id=case[0]) for case in cases]
 
 
@@ -953,14 +970,37 @@ def _block_grid(rng, shape, t_min):
     return t.reshape(shape)
 
 
-@pytest.mark.parametrize("name, fn, t_min, params", _block_kernels())
-def test_values_independent_of_blocks(name, fn, t_min, params):
+def _near_grid(rng, shape):
+    # |t| uniform on [0.05, 2] with either sign
+    n = math.prod(shape)
+    return (np.where(rng.random(n) < 0.5, -1.0, 1.0) * rng.uniform(0.05, 2.0, n)).reshape(shape)
+
+
+def _ln2_params(reach):
+    # |alpha - beta| = 10 / reach and |lam - mu| = 7 / reach: just past the
+    # reach, d t > 1 at the centre while d (|t| - reach) < ln 2
+    return [HParams(10.0 / reach, 0.0, 7.0 / reach, 0.0)]
+
+
+def _ln2_grid(reach):
+    # |t| = reach (1 + u) with either sign, u log-uniform on [1e-6, 1]:
+    # about 4 in 5 points lie within 0.07 reach of the reach
+    def grid(rng, shape):
+        n = math.prod(shape)
+        mags = reach * (1.0 + 10.0 ** rng.uniform(-6.0, 0.0, n))
+        return (np.where(rng.random(n) < 0.5, -1.0, 1.0) * mags).reshape(shape)
+    return grid
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, fn, grid, params", _block_kernels())
+def test_values_independent_of_blocks(name, fn, grid, params):
     # every element has the bits of a call on a shorter piece (pieces of
     # 5000 points, so one straddles each block edge) and of a one-element
     # call at each block edge, whatever the array's length or shape
     rng = np.random.default_rng(20)
     for shape in _BLOCK_SHAPES:
-        t = _block_grid(rng, shape, t_min)
+        t = grid(rng, shape)
         flat = t.ravel()
         n = flat.size
         edges = sorted({0, n - 1, *(i + j for i in range(_BLOCK, n, _BLOCK) for j in (-1, 0))})
@@ -975,6 +1015,29 @@ def test_values_independent_of_blocks(name, fn, t_min, params):
                 one = fn(p, flat[i:i + 1])
                 for a, b in zip(whole, one if isinstance(one, tuple) else (one,)):
                     assert same_bits(a[i:i + 1], b), (name, shape, p, i)
+
+
+def test_log1mexp_takes_each_elements_form():
+    # the finite differences' ln(1 - e^{-v}) runs its v >= ln 2 form on the
+    # whole array and patches the elements below ln 2: each element has the
+    # bits of its own form, in any mix
+    rng = np.random.default_rng(22)
+    ln2 = _kernels_py._LN2
+    v = np.concatenate([rng.uniform(0.5, ln2, 3000), rng.uniform(ln2, 50.0, 3000),
+                        [0.5, np.nextafter(ln2, 0.0), ln2, 710.0, np.inf]])
+    rng.shuffle(v)
+    want = np.where(v < ln2, np.log(-np.expm1(-v)), np.log1p(-np.exp(-v)))
+    assert same_bits(_kernels_py._log1mexp(v.copy()), want)
+
+
+def test_log_sinhc_keeps_its_horner_bits():
+    # the series runs in place in its argument, innermost term divided
+    rng = np.random.default_rng(23)
+    y = np.concatenate([rng.uniform(-2.0, 2.0, 5000), [0.0, -0.0, 1e-300]])
+    y2 = y * y
+    want = np.log1p(y2 * (1.0 / 6.0 + y2 * (1.0 / 120.0 + y2 * (1.0 / 5040.0 + y2 * (
+        1.0 / 362880.0 + y2 * (1.0 / 39916800.0 + y2 / 6227020800.0))))))
+    assert same_bits(_kernels_py._log_sinhc(y.copy()), want)
 
 
 def test_one_kernel_call_per_estimate(monkeypatch):
